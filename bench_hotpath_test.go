@@ -26,7 +26,7 @@ func hotpathCache(b *testing.B) *cache.STTRAM {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := llc.Write(0, 0, make([]byte, 64)); err != nil {
+	if _, err := llc.Write(0, 0, make([]byte, 64), nil); err != nil {
 		b.Fatal(err)
 	}
 	return llc
@@ -88,7 +88,7 @@ func BenchmarkReadHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := llc.ReadInto(0, 0, buf); err != nil {
+		if _, err := llc.ReadInto(0, 0, buf, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func BenchmarkWriteHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := llc.Write(0, 0, buf); err != nil {
+		if _, err := llc.Write(0, 0, buf, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func BenchmarkScrubPass(b *testing.B) {
 	llc := hotpathCache(b)
 	buf := make([]byte, 64)
 	for l := 0; l < 64; l++ {
-		if _, err := llc.Write(0, uint64(l*64), buf); err != nil {
+		if _, err := llc.Write(0, uint64(l*64), buf, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -250,7 +250,7 @@ func BenchmarkCorrectionLatency(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := llc.Write(0, 0, make([]byte, 64)); err != nil {
+	if _, err := llc.Write(0, 0, make([]byte, 64), nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -286,18 +286,11 @@ func BenchmarkMonteCarloInterval(b *testing.B) {
 	}
 }
 
-// mixEngine is the access surface shared by the global-lock Cache and
-// the sharded Concurrent, for the scaling benchmark.
-type mixEngine interface {
-	Read(addr uint64) ([]byte, error)
-	Write(addr uint64, data []byte) error
-}
-
 // BenchmarkShardedVsGlobal measures a 70/30 read/write mix on the
-// global-lock engine vs the bank-sharded engine at 1, 4, and 16
-// goroutines. On a multi-core host the sharded engine scales with the
-// core count while the global lock serializes; on a single hardware
-// thread the gap is lock-handoff overhead only.
+// single-lock engine (Shards: 1) vs the bank-sharded engine at 1, 4,
+// and 16 goroutines. On a multi-core host the sharded engine scales
+// with the core count while the single lock serializes; on a single
+// hardware thread the gap is lock-handoff overhead only.
 func BenchmarkShardedVsGlobal(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.CacheMB = 1
@@ -305,26 +298,26 @@ func BenchmarkShardedVsGlobal(b *testing.B) {
 	cfg.Seed = 1
 	lines := uint64(cfg.CacheMB << 20 / 64)
 	for _, goroutines := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("global/goroutines=%d", goroutines), func(b *testing.B) {
-			eng, err := New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runMix(b, goroutines, lines, eng)
-		})
-		b.Run(fmt.Sprintf("sharded/goroutines=%d", goroutines), func(b *testing.B) {
-			eng, err := NewConcurrent(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runMix(b, goroutines, lines, eng)
-		})
+		for _, eng := range []struct {
+			name   string
+			shards int
+		}{{"global", 1}, {"sharded", 0}} {
+			b.Run(fmt.Sprintf("%s/goroutines=%d", eng.name, goroutines), func(b *testing.B) {
+				ecfg := cfg
+				ecfg.Shards = eng.shards
+				c, err := NewConcurrent(ecfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runMix(b, goroutines, lines, c)
+			})
+		}
 	}
 }
 
 // runMix spreads b.N mixed operations over the goroutine fleet, each
 // worker drawing addresses from its own Split child stream.
-func runMix(b *testing.B, goroutines int, lines uint64, eng mixEngine) {
+func runMix(b *testing.B, goroutines int, lines uint64, eng *Concurrent) {
 	master := rng.New(99)
 	per := (b.N + goroutines - 1) / goroutines
 	b.ResetTimer()

@@ -79,7 +79,7 @@ func boundedPressure(cam sudoku.FaultCampaign) bool {
 // ApplyFaults outrun its period, the stepper skips ahead rather than
 // letting the whole plan (and any bounded burst window in it) dilate.
 // The returned stop function joins the goroutine.
-func startCampaignStepper(eng engine, plan *sudoku.FaultPlan, period time.Duration) (stop func(), err error) {
+func startCampaignStepper(eng *sudoku.Concurrent, plan *sudoku.FaultPlan, period time.Duration) (stop func(), err error) {
 	if plan.Intervals() <= 0 {
 		return nil, fmt.Errorf("campaign plan has no intervals")
 	}

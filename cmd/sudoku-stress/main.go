@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	sudoku-stress [-engine sharded|global|compare] [-goroutines 8]
+//	sudoku-stress [-engine sharded|compare] [-goroutines 8]
 //	              [-duration 2s] [-cachemb 1] [-shards 0] [-readfrac 0.7]
 //	              [-storm 50] [-scrub 20ms] [-seed 1] [-quiet] [-chaos]
 //
@@ -23,10 +23,10 @@
 // exits non-zero if any silent data corruption or failed clean-line
 // DUE recovery is observed.
 //
-// The global engine is the single-lock cache.STTRAM; the sharded
-// engine is the bank-sharded shard.Engine behind sudoku.NewConcurrent.
-// Compare mode runs both with identical parameters and prints the
-// throughput ratio.
+// Every run drives sudoku.NewConcurrent under its scrub daemon; -shards
+// 1 is the single-lock ("global") engine, whose rotation is one
+// stop-the-world pass. Compare mode runs -shards 1 against the -shards
+// engine with identical parameters and prints the throughput ratio.
 package main
 
 import (
@@ -86,11 +86,11 @@ type options struct {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sudoku-stress", flag.ContinueOnError)
 	var o options
-	fs.StringVar(&o.engine, "engine", "sharded", "engine: sharded, global, or compare")
+	fs.StringVar(&o.engine, "engine", "sharded", "engine: sharded (the -shards engine) or compare (-shards 1 against it)")
 	fs.IntVar(&o.goroutines, "goroutines", 8, "concurrent load goroutines")
 	fs.DurationVar(&o.duration, "duration", 2*time.Second, "run length per engine")
 	fs.IntVar(&o.cachemb, "cachemb", 1, "cache size in MB")
-	fs.IntVar(&o.shards, "shards", 0, "shard count (0 = auto, sharded engine only)")
+	fs.IntVar(&o.shards, "shards", 0, "shard count (0 = auto, 1 = single-lock engine)")
 	fs.Float64Var(&o.readfrac, "readfrac", 0.7, "fraction of operations that are reads")
 	fs.IntVar(&o.storm, "storm", 50, "faults injected per scrub interval (0 = off)")
 	fs.DurationVar(&o.scrub, "scrub", 20*time.Millisecond, "scrub interval")
@@ -149,21 +149,21 @@ func run(args []string, out io.Writer) error {
 		return runChaos(o, out)
 	}
 	switch o.engine {
-	case "sharded", "global":
-		res, err := runEngine(o, o.engine)
+	case "sharded":
+		res, err := runEngine(o, o.shards)
 		if err != nil {
 			return err
 		}
 		res.print(out, o.quiet)
 		return nil
 	case "compare":
-		global, err := runEngine(o, "global")
+		global, err := runEngine(o, 1)
 		if err != nil {
 			return err
 		}
 		global.print(out, o.quiet)
 		fmt.Fprintln(out)
-		sharded, err := runEngine(o, "sharded")
+		sharded, err := runEngine(o, o.shards)
 		if err != nil {
 			return err
 		}
@@ -174,20 +174,6 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown engine %q", o.engine)
 	}
-}
-
-// engine is the surface both the global-lock Cache and the sharded
-// Concurrent expose to the load loop. Reads go through ReadInto so the
-// loop reuses one buffer per goroutine instead of allocating 64 bytes
-// per operation.
-type engine interface {
-	ReadInto(addr uint64, dst []byte) error
-	Write(addr uint64, data []byte) error
-	InjectRandomFaults(seed uint64, n int) error
-	ApplyFaults(ip sudoku.FaultIntervalPlan) (int, error)
-	Geometry() sudoku.FaultGeometry
-	Scrub() (sudoku.ScrubReport, error)
-	Stats() sudoku.Stats
 }
 
 // result aggregates one engine run.
@@ -234,94 +220,51 @@ func buildConfig(o options) sudoku.Config {
 	return cfg
 }
 
-// runEngine builds the named engine, applies the load, and tears the
-// scrub machinery down.
-func runEngine(o options, name string) (*result, error) {
+// runEngine builds the engine with the given shard count, applies the
+// load under the scrub daemon, and tears the scrub machinery down. A
+// single-shard engine reports as "global": its one lock covers the
+// whole cache.
+func runEngine(o options, shards int) (*result, error) {
 	cfg := buildConfig(o)
-	res := &result{name: name, shards: 1}
-	var eng engine
-	stopScrub := func() {}
-
-	switch name {
-	case "sharded":
-		c, err := sudoku.NewConcurrent(cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.shards = c.Shards()
-		perPass := storms(o.storm, c.Shards())
-		if o.campaign != "" {
-			// The campaign stepper is the sole fault source; the daemon
-			// scrubs but does not storm.
-			perPass = 0
-		}
-		if err := c.StartScrub(sudoku.ScrubDaemonConfig{
-			Interval:     o.scrub,
-			StormPerPass: perPass,
-		}); err != nil {
-			return nil, err
-		}
-		stopScrub = func() {
-			_ = c.StopScrub()
-			st := c.ScrubStats()
-			res.rotation = st.Rotations
-			res.passes = st.ShardPasses
-		}
-		eng = c
-	case "global":
-		c, err := sudoku.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		// The global engine has no incremental daemon: emulate the
-		// paper's stop-the-world scrub with a ticker goroutine.
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		var passes atomic.Int64
-		go func() {
-			defer close(done)
-			src := rng.New(o.seed ^ 0xdeadbeef)
-			ticker := time.NewTicker(o.scrub)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					if o.storm > 0 && o.campaign == "" {
-						_ = c.InjectRandomFaults(src.Uint64(), o.storm)
-					}
-					_, _ = c.Scrub()
-					passes.Add(1)
-				}
-			}
-		}()
-		stopScrub = func() {
-			close(stop)
-			<-done
-			res.rotation = int(passes.Load())
-			res.passes = res.rotation
-		}
-		eng = c
-	default:
-		return nil, fmt.Errorf("unknown engine %q", name)
+	cfg.Shards = shards
+	c, err := sudoku.NewConcurrent(cfg)
+	if err != nil {
+		return nil, err
 	}
-
-	stopStepper := func() {}
+	res := &result{name: "sharded", shards: c.Shards()}
+	if res.shards == 1 {
+		res.name = "global"
+	}
+	perPass := storms(o.storm, c.Shards())
+	var plan *sudoku.FaultPlan
 	if o.campaign != "" {
-		plan, err := resolveCampaign(o, eng.Geometry())
-		if err != nil {
-			return nil, err
-		}
-		stopStepper, err = startCampaignStepper(eng, plan, o.scrub)
-		if err != nil {
+		// The campaign stepper is the sole fault source; the daemon
+		// scrubs but does not storm.
+		perPass = 0
+		if plan, err = resolveCampaign(o, c.Geometry()); err != nil {
 			return nil, err
 		}
 	}
-	load(o, eng, res)
+	if err := c.StartScrub(sudoku.ScrubDaemonConfig{
+		Interval:     o.scrub,
+		StormPerPass: perPass,
+	}); err != nil {
+		return nil, err
+	}
+	stopStepper := func() {}
+	if plan != nil {
+		if stopStepper, err = startCampaignStepper(c, plan, o.scrub); err != nil {
+			_ = c.StopScrub()
+			return nil, err
+		}
+	}
+	load(o, c, res)
 	stopStepper()
-	stopScrub()
-	res.stats = eng.Stats()
+	_ = c.StopScrub()
+	st := c.ScrubStats()
+	res.rotation = st.Rotations
+	res.passes = st.ShardPasses
+	res.stats = c.Stats()
 	return res, nil
 }
 
@@ -338,8 +281,10 @@ func storms(perInterval, shards int) int {
 	return per
 }
 
-// load runs the goroutine fleet for the configured duration.
-func load(o options, eng engine, res *result) {
+// load runs the goroutine fleet for the configured duration. Reads go
+// through ReadInto so each goroutine reuses one buffer instead of
+// allocating 64 bytes per operation.
+func load(o options, eng *sudoku.Concurrent, res *result) {
 	lines := uint64(o.cachemb << 20 / 64)
 	deadline := time.Now().Add(o.duration)
 	var wg sync.WaitGroup

@@ -23,10 +23,12 @@ func TestRunSharded(t *testing.T) {
 	}
 }
 
+// TestRunGlobal runs the single-lock engine: -shards 1 under the same
+// scrub daemon as the sharded run.
 func TestRunGlobal(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
-		"-engine", "global", "-goroutines", "2", "-duration", "50ms",
+		"-shards", "1", "-goroutines", "2", "-duration", "50ms",
 		"-cachemb", "1", "-scrub", "5ms", "-quiet",
 	}, &out)
 	if err != nil {
@@ -79,6 +81,7 @@ func TestRunChaos(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-engine", "nope"},
+		{"-engine", "global"},
 		{"-goroutines", "0"},
 		{"-duration", "0s"},
 		{"-readfrac", "1.5"},

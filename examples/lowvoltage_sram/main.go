@@ -54,7 +54,8 @@ func run() error {
 	cfg := sudoku.DefaultConfig()
 	cfg.CacheMB = 1
 	cfg.GroupSize = 64
-	c, err := sudoku.New(cfg)
+	cfg.Shards = 1
+	c, err := sudoku.NewConcurrent(cfg)
 	if err != nil {
 		return err
 	}

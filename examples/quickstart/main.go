@@ -24,11 +24,14 @@ func main() {
 func run() error {
 	// A 1 MB cache with 64-line RAID groups keeps the demo instant;
 	// the protection machinery is identical to the paper's 64 MB
-	// configuration.
+	// configuration. One shard is the single-lock engine: one parity
+	// domain, so the lines below share RAID groups exactly as they
+	// would in the unsharded cache.
 	cfg := sudoku.DefaultConfig()
 	cfg.CacheMB = 1
 	cfg.GroupSize = 64
-	c, err := sudoku.New(cfg)
+	cfg.Shards = 1
+	c, err := sudoku.NewConcurrent(cfg)
 	if err != nil {
 		return err
 	}

@@ -16,11 +16,6 @@ import (
 	"time"
 
 	"sudoku"
-	"sudoku/internal/cache"
-	"sudoku/internal/core"
-	"sudoku/internal/dram"
-	"sudoku/internal/rng"
-	"sudoku/internal/scrubber"
 )
 
 func main() {
@@ -30,24 +25,22 @@ func main() {
 }
 
 func run() error {
-	// Build the substrate directly so the scrubber can own it; the
-	// public sudoku.Cache wraps the same type.
-	ccfg := cache.DefaultConfig()
-	ccfg.Lines = 1 << 14 // 1 MB demo cache
-	ccfg.GroupSize = 64
-	ccfg.Protection = core.ProtectionZ
-	mem, err := dram.New(dram.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	llc, err := cache.New(ccfg, mem)
+	// One shard is the paper's single-lock cache: each daemon rotation
+	// is one stop-the-world pass over every line. More shards split a
+	// rotation into per-shard passes that lock one shard at a time.
+	cfg := sudoku.DefaultConfig()
+	cfg.CacheMB = 1 // 1 MB demo cache
+	cfg.GroupSize = 64
+	cfg.Shards = 1
+	cfg.Seed = 2019
+	c, err := sudoku.NewConcurrent(cfg)
 	if err != nil {
 		return err
 	}
 
 	payload := bytes.Repeat([]byte("scrubbed"), 8)
 	for i := uint64(0); i < 512; i++ {
-		if _, err := llc.Write(0, i*64, payload); err != nil {
+		if err := c.Write(i*64, payload); err != nil {
 			return err
 		}
 	}
@@ -55,25 +48,19 @@ func run() error {
 	// Fault pressure: ~40 random flips per pass over the 1 MB cache is
 	// an abusive ~4×10⁻⁶ BER per interval — the paper's regime scaled
 	// onto the demo size.
-	r := rng.New(2019)
-	scrub, err := scrubber.New(llc, scrubber.Config{
+	fmt.Println("starting scrub daemon (10 ms interval, ~40 faults/pass)...")
+	if err := c.StartScrub(sudoku.ScrubDaemonConfig{
 		Interval:     10 * time.Millisecond,
-		InjectFaults: func() error { return llc.InjectRandomFaults(r, 40) },
-		OnReport: func(p scrubber.Pass) {
-			if p.Seq%10 == 0 {
+		StormPerPass: 40,
+		OnPass: func(p sudoku.ScrubPass) {
+			if p.Rotation%10 == 0 {
 				fmt.Printf("  pass %3d: %3d singles, %d SDR, %d RAID, %d DUEs (%.1fms)\n",
-					p.Seq, p.Report.SingleRepairs, p.Report.SDRRepairs,
+					p.Rotation, p.Report.SingleRepairs, p.Report.SDRRepairs,
 					p.Report.RAIDRepairs, len(p.Report.DUELines),
 					float64(p.Took.Microseconds())/1000)
 			}
 		},
-	})
-	if err != nil {
-		return err
-	}
-
-	fmt.Println("starting scrub daemon (10 ms interval, ~40 faults/pass)...")
-	if err := scrub.Start(); err != nil {
+	}); err != nil {
 		return err
 	}
 
@@ -82,7 +69,7 @@ func run() error {
 	deadline := time.Now().Add(500 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		for i := uint64(0); i < 512; i += 7 {
-			got, _, err := llc.Read(0, i*64)
+			got, err := c.Read(i * 64)
 			if err != nil {
 				return fmt.Errorf("foreground read of line %d: %w", i, err)
 			}
@@ -92,18 +79,17 @@ func run() error {
 			reads++
 		}
 	}
-	if err := scrub.Stop(); err != nil {
+	if err := c.StopScrub(); err != nil {
 		return err
 	}
 
-	st := scrub.Stats()
+	st := c.ScrubStats().Scrub
 	fmt.Printf("\ndaemon stopped after %d passes\n", st.Passes)
 	fmt.Printf("  repairs: %d single, %d SDR, %d RAID, %d Hash-2\n",
 		st.SingleRepairs, st.SDRRepairs, st.RAIDRepairs, st.Hash2Repairs)
 	fmt.Printf("  DUE lines: %d\n", st.DUELines)
 	fmt.Printf("  foreground reads verified: %d (all clean)\n", reads)
 
-	// The public API exposes the same machinery in two calls:
 	rep, err := sudoku.AnalyzeReliability(sudoku.DefaultReliabilityConfig())
 	if err != nil {
 		return err

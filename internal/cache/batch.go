@@ -16,18 +16,14 @@ import (
 )
 
 // validateBatch checks the common gather/scatter contract of the batch
-// APIs: idx (when non-nil) must parallel addrs, every scattered item
-// must fit in buf, and errs must be addressable at every scatter index.
+// APIs: idx must parallel addrs, every scattered item must fit in buf,
+// and errs must be addressable at every scatter index.
 func (c *STTRAM) validateBatch(addrs []uint64, idx []int, buf []byte, errs []error) error {
-	if idx != nil && len(idx) != len(addrs) {
+	if len(idx) != len(addrs) {
 		return fmt.Errorf("cache: batch idx len %d, addrs len %d", len(idx), len(addrs))
 	}
 	lb := c.cfg.LineBytes
-	for i := range addrs {
-		j := i
-		if idx != nil {
-			j = idx[i]
-		}
+	for i, j := range idx {
 		if j < 0 || (j+1)*lb > len(buf) || j >= len(errs) {
 			return fmt.Errorf("cache: batch item %d scatters to index %d outside buffer (%d bytes) or errs (%d)",
 				i, j, len(buf), len(errs))
@@ -39,9 +35,9 @@ func (c *STTRAM) validateBatch(addrs []uint64, idx []int, buf []byte, errs []err
 // ReadBatchInto reads len(addrs) lines under one engine-mutex
 // acquisition. It is a gather/scatter form: item i reads the line at
 // addrs[i] into dst[j*LineBytes:(j+1)*LineBytes] and records its
-// outcome in errs[j], where j = idx[i] (or i when idx is nil) — the
-// sharded engine uses idx to scatter each shard's group of a larger
-// batch back into the caller's frame. Items are served back-to-back in
+// outcome in errs[j], where j = idx[i] — the sharded engine uses idx
+// to scatter each shard's group of a larger batch back into the
+// caller's frame. Items are served back-to-back in
 // model time: each sees the bank state its predecessors left. The
 // returned latency is the whole batch's, and failed counts items whose
 // errs entry is non-nil; err reports only structural misuse (mismatched
@@ -55,10 +51,7 @@ func (c *STTRAM) ReadBatchInto(now time.Duration, addrs []uint64, idx []int, dst
 	defer c.mu.Unlock()
 	cur := now
 	for i, addr := range addrs {
-		j := i
-		if idx != nil {
-			j = idx[i]
-		}
+		j := idx[i]
 		l, rerr := c.readIntoLocked(cur, addr, dst[j*lb:(j+1)*lb], nil)
 		cur += l
 		errs[j] = rerr
@@ -71,8 +64,8 @@ func (c *STTRAM) ReadBatchInto(now time.Duration, addrs []uint64, idx []int, dst
 
 // WriteBatch writes len(addrs) lines under one engine-mutex
 // acquisition, the scatter dual of ReadBatchInto: item i writes
-// data[j*LineBytes:(j+1)*LineBytes] (j = idx[i], or i when idx is nil)
-// to the line at addrs[i] and records its outcome in errs[j]. Every
+// data[j*LineBytes:(j+1)*LineBytes] (j = idx[i]) to the line at
+// addrs[i] and records its outcome in errs[j]. Every
 // item's read-modify-write and both PLT delta updates happen inside
 // the single critical section. Latency/failed/err as in ReadBatchInto.
 func (c *STTRAM) WriteBatch(now time.Duration, addrs []uint64, idx []int, data []byte, errs []error) (lat time.Duration, failed int, err error) {
@@ -84,10 +77,7 @@ func (c *STTRAM) WriteBatch(now time.Duration, addrs []uint64, idx []int, data [
 	defer c.mu.Unlock()
 	cur := now
 	for i, addr := range addrs {
-		j := i
-		if idx != nil {
-			j = idx[i]
-		}
+		j := idx[i]
 		l, werr := c.writeLocked(cur, addr, data[j*lb:(j+1)*lb], nil)
 		cur += l
 		errs[j] = werr

@@ -539,9 +539,6 @@ func (c *STTRAM) ParityGroups() int {
 	return c.params.NumGroups()
 }
 
-// Config returns the cache configuration.
-func (c *STTRAM) Config() Config { return c.cfg }
-
 // Stats returns a snapshot of the counters. It is lock-free: the
 // counters are atomics, so a snapshot never waits behind an access or a
 // repair holding the engine mutex.

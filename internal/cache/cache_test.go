@@ -69,7 +69,7 @@ func TestConfigValidate(t *testing.T) {
 func TestWriteReadRoundTrip(t *testing.T) {
 	c, _ := mustCache(t, testConfig(core.ProtectionZ))
 	data := bytes.Repeat([]byte{0xa5, 0x3c}, 32)
-	if _, err := c.Write(0, 0x4000, data); err != nil {
+	if _, err := c.Write(0, 0x4000, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := c.Read(0, 0x4000)
@@ -79,7 +79,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("read back wrong data")
 	}
-	if _, err := c.Write(0, 0, make([]byte, 10)); err == nil {
+	if _, err := c.Write(0, 0, make([]byte, 10), nil); err == nil {
 		t.Fatal("short write accepted")
 	}
 }
@@ -88,7 +88,7 @@ func TestMissHitEvictionFlow(t *testing.T) {
 	cfg := testConfig(core.ProtectionZ)
 	c, mem := mustCache(t, cfg)
 	data := bytes.Repeat([]byte{1}, 64)
-	if _, err := c.Write(0, 0x100, data); err != nil {
+	if _, err := c.Write(0, 0x100, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -106,7 +106,7 @@ func TestMissHitEvictionFlow(t *testing.T) {
 	sets := uint64(cfg.Lines / cfg.Ways)
 	for i := uint64(1); i <= 9; i++ {
 		addr := 0x100 + i*sets*64
-		if _, err := c.Write(0, addr, data); err != nil {
+		if _, err := c.Write(0, addr, data, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,7 +131,7 @@ func TestMissHitEvictionFlow(t *testing.T) {
 func TestSingleFaultRepairedOnRead(t *testing.T) {
 	c, _ := mustCache(t, testConfig(core.ProtectionZ))
 	data := bytes.Repeat([]byte{0xff}, 64)
-	if _, err := c.Write(0, 0, data); err != nil {
+	if _, err := c.Write(0, 0, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.InjectFault(0, 100); err != nil {
@@ -152,7 +152,7 @@ func TestSingleFaultRepairedOnRead(t *testing.T) {
 func TestMultiBitFaultRAIDRepairedOnRead(t *testing.T) {
 	c, _ := mustCache(t, testConfig(core.ProtectionZ))
 	data := bytes.Repeat([]byte{0x77}, 64)
-	if _, err := c.Write(0, 0, data); err != nil {
+	if _, err := c.Write(0, 0, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range []int{10, 20, 30, 40, 50, 60} {
@@ -191,7 +191,7 @@ func TestScrubRepairsScatteredFaults(t *testing.T) {
 	c, _ := mustCache(t, testConfig(core.ProtectionZ))
 	data := bytes.Repeat([]byte{0x42}, 64)
 	for i := uint64(0); i < 200; i++ {
-		if _, err := c.Write(0, i*64, data); err != nil {
+		if _, err := c.Write(0, i*64, data, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,7 +238,7 @@ func TestScrubSDRScenario(t *testing.T) {
 	// lines land in the same Hash-1 group (group = phys/64 with
 	// 8 ways ⇒ phys 0*8 and 1*8 are both < 64).
 	for _, a := range []uint64{0, 64} {
-		if _, err := c.Write(0, a, data); err != nil {
+		if _, err := c.Write(0, a, data, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +275,7 @@ func TestWriteToUncorrectableLineRebuildsParity(t *testing.T) {
 	c, _ := mustCache(t, cfg)
 	data := bytes.Repeat([]byte{0x08}, 64)
 	for _, a := range []uint64{0, 64} {
-		if _, err := c.Write(0, a, data); err != nil {
+		if _, err := c.Write(0, a, data, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +293,7 @@ func TestWriteToUncorrectableLineRebuildsParity(t *testing.T) {
 	// Overwriting both lines resynchronizes parity; subsequent reads
 	// and scrubs must be clean.
 	for _, a := range []uint64{0, 64} {
-		if _, err := c.Write(0, a, data); err != nil {
+		if _, err := c.Write(0, a, data, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -358,7 +358,7 @@ func TestBankSerializationInCache(t *testing.T) {
 
 func TestPLTWritesCounted(t *testing.T) {
 	c, _ := mustCache(t, testConfig(core.ProtectionZ))
-	if _, err := c.Write(0, 0, make([]byte, 64)); err != nil {
+	if _, err := c.Write(0, 0, make([]byte, 64), nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.PLTWrites < 2 {
@@ -383,7 +383,7 @@ func BenchmarkAccessTiming(b *testing.B) {
 
 func BenchmarkFunctionalReadHit(b *testing.B) {
 	c, _ := mustCache(b, testConfig(core.ProtectionZ))
-	if _, err := c.Write(0, 0, make([]byte, 64)); err != nil {
+	if _, err := c.Write(0, 0, make([]byte, 64), nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -399,7 +399,7 @@ func TestStuckAtCellSurvivesWritesAndScrubs(t *testing.T) {
 	// reads always return correct data and every scrub re-corrects it.
 	c, _ := mustCache(t, testConfig(core.ProtectionZ))
 	data := bytes.Repeat([]byte{0x00}, 64) // data bit 200 should be 0
-	if _, err := c.Write(0, 0, data); err != nil {
+	if _, err := c.Write(0, 0, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.InjectStuckAt(0, 200, true); err != nil {
@@ -417,7 +417,7 @@ func TestStuckAtCellSurvivesWritesAndScrubs(t *testing.T) {
 			t.Fatalf("pass %d: stuck cell leaked into data", pass)
 		}
 		// Overwrite with the same payload; the stuck cell reasserts.
-		if _, err := c.Write(0, 0, data); err != nil {
+		if _, err := c.Write(0, 0, data, nil); err != nil {
 			t.Fatal(err)
 		}
 		rep, err := c.Scrub()
@@ -438,7 +438,7 @@ func TestStuckAtValidation(t *testing.T) {
 	if err := c.InjectStuckAt(0x99999, 0, true); err == nil {
 		t.Fatal("non-resident stuck injection accepted")
 	}
-	if _, err := c.Write(0, 0, make([]byte, 64)); err != nil {
+	if _, err := c.Write(0, 0, make([]byte, 64), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.InjectStuckAt(0, 1000, true); err == nil {
@@ -456,7 +456,7 @@ func TestStuckPlusTransientFaults(t *testing.T) {
 	// sees the stuck cell as a persistent parity mismatch) repairs it.
 	c, _ := mustCache(t, testConfig(core.ProtectionZ))
 	data := bytes.Repeat([]byte{0x00}, 64)
-	if _, err := c.Write(0, 0, data); err != nil {
+	if _, err := c.Write(0, 0, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.InjectStuckAt(0, 100, true); err != nil {
@@ -481,7 +481,7 @@ func TestConcurrentAccessIsSafe(t *testing.T) {
 	c, _ := mustCache(t, testConfig(core.ProtectionZ))
 	data := bytes.Repeat([]byte{0xab}, 64)
 	for i := uint64(0); i < 64; i++ {
-		if _, err := c.Write(0, i*64, data); err != nil {
+		if _, err := c.Write(0, i*64, data, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -501,7 +501,7 @@ func TestConcurrentAccessIsSafe(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := c.Write(0, addr, data); err != nil {
+					if _, err := c.Write(0, addr, data, nil); err != nil {
 						errCh <- err
 						return
 					}
@@ -531,7 +531,7 @@ func TestECC2CacheRepairsThreeFaultPairs(t *testing.T) {
 	c, _ := mustCache(t, cfg)
 	data := bytes.Repeat([]byte{0x2a}, 64)
 	for _, a := range []uint64{0, 64} {
-		if _, err := c.Write(0, a, data); err != nil {
+		if _, err := c.Write(0, a, data, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -564,7 +564,7 @@ func TestECC2CacheRepairsThreeFaultPairs(t *testing.T) {
 	// The same pattern defeats the ECC-1 configuration.
 	c1, _ := mustCache(t, testConfig(core.ProtectionY))
 	for _, a := range []uint64{0, 64} {
-		if _, err := c1.Write(0, a, data); err != nil {
+		if _, err := c1.Write(0, a, data, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -613,7 +613,7 @@ func TestStatsSnapshotLockFree(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		addr := uint64(i%256) * 64
 		if i%3 == 0 {
-			lat, err := c.Write(now, addr, data)
+			lat, err := c.Write(now, addr, data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

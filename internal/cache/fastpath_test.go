@@ -19,7 +19,7 @@ func fastFixture(t *testing.T) (*STTRAM, uint64, []byte) {
 	addr := uint64(0x40)
 	data := bytes.Repeat([]byte{0x5A}, c.cfg.LineBytes)
 	data[0] = 0x01
-	if _, err := c.Write(0, addr, data); err != nil {
+	if _, err := c.Write(0, addr, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	return c, addr, data
@@ -29,7 +29,7 @@ func TestSeqlockFastPathServesCleanHits(t *testing.T) {
 	c, addr, data := fastFixture(t)
 	dst := make([]byte, c.cfg.LineBytes)
 	for i := 0; i < 3; i++ {
-		if _, err := c.ReadInto(0, addr, dst); err != nil {
+		if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(dst, data) {
@@ -54,11 +54,11 @@ func TestDisableFastReadsForcesLockedPath(t *testing.T) {
 	}
 	addr := uint64(0x40)
 	data := bytes.Repeat([]byte{7}, c.cfg.LineBytes)
-	if _, err := c.Write(0, addr, data); err != nil {
+	if _, err := c.Write(0, addr, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, c.cfg.LineBytes)
-	if _, err := c.ReadInto(0, addr, dst); err != nil {
+	if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.SeqlockReads != 0 || st.SeqlockFallbacks != 0 {
@@ -85,7 +85,7 @@ func TestSeqlockMidCopyBumpFallsBackOnce(t *testing.T) {
 	}
 	before := c.Stats()
 	dst := make([]byte, c.cfg.LineBytes)
-	if _, err := c.ReadInto(0, addr, dst); err != nil {
+	if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, data) {
@@ -103,7 +103,7 @@ func TestSeqlockMidCopyBumpFallsBackOnce(t *testing.T) {
 	}
 	// The hook self-disarmed: the next read goes fast again (the locked
 	// fallback resynced the mirror).
-	if _, err := c.ReadInto(0, addr, dst); err != nil {
+	if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().SeqlockReads != after.SeqlockReads+1 {
@@ -137,7 +137,7 @@ func TestSeqlockTornCopyNeverReachesDst(t *testing.T) {
 		dst[i] = 0xAA // sentinel: must be fully overwritten
 	}
 	before := c.Stats()
-	if _, err := c.ReadInto(0, addr, dst); err != nil {
+	if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, data) {
@@ -156,14 +156,14 @@ func TestSeqlockFaultFallsBackToRepairLadder(t *testing.T) {
 	c, addr, data := fastFixture(t)
 	// Warm the fast path so the mirror is live.
 	dst := make([]byte, c.cfg.LineBytes)
-	if _, err := c.ReadInto(0, addr, dst); err != nil {
+	if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.InjectFault(addr, 3); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Stats()
-	if _, err := c.ReadInto(0, addr, dst); err != nil {
+	if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, data) {
@@ -181,7 +181,7 @@ func TestSeqlockFaultFallsBackToRepairLadder(t *testing.T) {
 	}
 	// Repaired and resynced: reads go fast again.
 	base := c.Stats().SeqlockReads
-	if _, err := c.ReadInto(0, addr, dst); err != nil {
+	if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().SeqlockReads != base+1 {
@@ -202,13 +202,13 @@ func TestSeqlockEvictionRecycleIsSafe(t *testing.T) {
 	for i := 0; i < n; i++ {
 		addr := uint64(i) * sets * lb
 		data := bytes.Repeat([]byte{byte(i + 1)}, c.cfg.LineBytes)
-		if _, err := c.Write(0, addr, data); err != nil {
+		if _, err := c.Write(0, addr, data, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i++ {
 		addr := uint64(i) * sets * lb
-		if _, err := c.ReadInto(0, addr, dst); err != nil {
+		if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
 			t.Fatal(err)
 		}
 		for j, b := range dst {
@@ -225,14 +225,14 @@ func TestSeqlockEvictionRecycleIsSafe(t *testing.T) {
 func TestSeqlockGenerationBumpInvalidatesMirrors(t *testing.T) {
 	c, addr, data := fastFixture(t)
 	dst := make([]byte, c.cfg.LineBytes)
-	if _, err := c.ReadInto(0, addr, dst); err != nil { // publish + warm
+	if _, err := c.ReadInto(0, addr, dst, nil); err != nil { // publish + warm
 		t.Fatal(err)
 	}
 	c.mu.Lock()
 	c.bumpGen()
 	c.mu.Unlock()
 	before := c.Stats()
-	if _, err := c.ReadInto(0, addr, dst); err != nil {
+	if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, data) {
@@ -243,7 +243,7 @@ func TestSeqlockGenerationBumpInvalidatesMirrors(t *testing.T) {
 		t.Fatalf("stale-generation read: fallback delta = %d, want 1", after.SeqlockFallbacks-before.SeqlockFallbacks)
 	}
 	// The locked fallback restamped the mirror's generation.
-	if _, err := c.ReadInto(0, addr, dst); err != nil {
+	if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().SeqlockReads != after.SeqlockReads+1 {

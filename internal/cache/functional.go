@@ -49,7 +49,7 @@ type ScrubReport struct {
 // unrepairable line returns ErrUncorrectable.
 func (c *STTRAM) Read(now time.Duration, addr uint64) ([]byte, time.Duration, error) {
 	buf := make([]byte, c.cfg.LineBytes)
-	lat, err := c.ReadInto(now, addr, buf)
+	lat, err := c.ReadInto(now, addr, buf, nil)
 	if err != nil {
 		return nil, lat, err
 	}
@@ -58,15 +58,12 @@ func (c *STTRAM) Read(now time.Duration, addr uint64) ([]byte, time.Duration, er
 
 // ReadInto is Read into a caller-provided buffer of LineBytes bytes —
 // the allocation-free form for callers that reuse a line buffer across
-// accesses. On error the buffer contents are unspecified.
-func (c *STTRAM) ReadInto(now time.Duration, addr uint64, dst []byte) (time.Duration, error) {
-	return c.ReadIntoTraced(now, addr, dst, nil)
-}
-
-// ReadIntoTraced is ReadInto with a request trace attached: every rung
-// of the repair ladder the access traverses is noted on tr. A nil tr
-// is the untraced case and costs one branch per instrumentation point.
-func (c *STTRAM) ReadIntoTraced(now time.Duration, addr uint64, dst []byte, tr *reqtrace.Trace) (time.Duration, error) {
+// accesses. On error the buffer contents are unspecified. Every rung
+// of the repair ladder the access traverses, and any seqlock fallback
+// reason, is noted on tr; a nil tr is the untraced case and costs one
+// branch per instrumentation point. Traced or not, a clean resident
+// line is served by the lock-free seqlock path first.
+func (c *STTRAM) ReadInto(now time.Duration, addr uint64, dst []byte, tr *reqtrace.Trace) (time.Duration, error) {
 	if len(dst) != c.cfg.LineBytes {
 		return 0, fmt.Errorf("cache: read buffer of %d bytes, want %d", len(dst), c.cfg.LineBytes)
 	}
@@ -232,14 +229,9 @@ func (c *STTRAM) discardLine(set, w int) error {
 // latency. Writes are read-modify-writes (§III-B): the old content is
 // read (and repaired if faulty), the modified bit positions are
 // computed, and both parity tables are updated with exactly those
-// positions.
-func (c *STTRAM) Write(now time.Duration, addr uint64, data []byte) (time.Duration, error) {
-	return c.WriteTraced(now, addr, data, nil)
-}
-
-// WriteTraced is Write with a request trace attached; a nil tr is the
-// untraced case.
-func (c *STTRAM) WriteTraced(now time.Duration, addr uint64, data []byte, tr *reqtrace.Trace) (time.Duration, error) {
+// positions. The repair rungs the old content needs are noted on tr
+// (nil = untraced).
+func (c *STTRAM) Write(now time.Duration, addr uint64, data []byte, tr *reqtrace.Trace) (time.Duration, error) {
 	if len(data) != c.cfg.LineBytes {
 		return 0, fmt.Errorf("cache: write of %d bytes, want %d", len(data), c.cfg.LineBytes)
 	}

@@ -71,7 +71,7 @@ func defeatX(t *testing.T, c *STTRAM, addrA, addrB uint64) {
 func TestCleanLineDUERecoveredByRefetch(t *testing.T) {
 	c, trap := trapCache(t, testConfig(core.ProtectionX))
 	data := bytes.Repeat([]byte{0x5a}, 64)
-	if _, err := c.Write(0, 0, data); err != nil {
+	if _, err := c.Write(0, 0, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Evict addr 0 (8-way set): eight conflicting fills push it out and
@@ -126,7 +126,7 @@ func TestDirtyLineDUEIsDataLoss(t *testing.T) {
 	c, trap := trapCache(t, testConfig(core.ProtectionX))
 	data := bytes.Repeat([]byte{0x77}, 64)
 	for _, a := range []uint64{0, 64} {
-		if _, err := c.Write(0, a, data); err != nil {
+		if _, err := c.Write(0, a, data, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,13 +160,13 @@ func TestWriteOverDUEEmitsOverwrittenEvent(t *testing.T) {
 	c, trap := trapCache(t, testConfig(core.ProtectionX))
 	data := bytes.Repeat([]byte{0x08}, 64)
 	for _, a := range []uint64{0, 64} {
-		if _, err := c.Write(0, a, data); err != nil {
+		if _, err := c.Write(0, a, data, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	defeatX(t, c, 0, 64)
 	for _, a := range []uint64{0, 64} {
-		if _, err := c.Write(0, a, data); err != nil {
+		if _, err := c.Write(0, a, data, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func TestChronicLineRetiredToSpare(t *testing.T) {
 	cfg.SpareLines = 2
 	c, trap := trapCache(t, cfg)
 	data := bytes.Repeat([]byte{0x42}, 64)
-	if _, err := c.Write(0, 0, data); err != nil {
+	if _, err := c.Write(0, 0, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Pin a payload bit to the wrong value: every scrub pass repairs
@@ -255,7 +255,7 @@ func TestChronicLineRetiredToSpare(t *testing.T) {
 		t.Fatalf("read via spare: %v", err)
 	}
 	data2 := bytes.Repeat([]byte{0x43}, 64)
-	if _, err := c.Write(0, 0, data2); err != nil {
+	if _, err := c.Write(0, 0, data2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.InjectFault(0, 7); err != nil {
@@ -283,7 +283,7 @@ func TestSpareExhaustionReported(t *testing.T) {
 	c, trap := trapCache(t, cfg)
 	data := bytes.Repeat([]byte{0x21}, 64)
 	for _, a := range []uint64{0, 64} {
-		if _, err := c.Write(0, a, data); err != nil {
+		if _, err := c.Write(0, a, data, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.InjectStuckAt(a, 3, true); err != nil {
@@ -321,7 +321,7 @@ func TestParityFaultQuarantinesRegion(t *testing.T) {
 	c, trap := trapCache(t, cfg)
 	data := bytes.Repeat([]byte{0x11}, 64)
 	for _, a := range []uint64{0, 64, 128} {
-		if _, err := c.Write(0, a, data); err != nil {
+		if _, err := c.Write(0, a, data, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +341,7 @@ func TestParityFaultQuarantinesRegion(t *testing.T) {
 	// Writes into the quarantined region succeed (Hash-1 accounting
 	// bypassed) and scrub skips its lines.
 	data2 := bytes.Repeat([]byte{0x12}, 64)
-	if _, err := c.Write(0, 0, data2); err != nil {
+	if _, err := c.Write(0, 0, data2, nil); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = c.Scrub()

@@ -199,8 +199,8 @@ type Stats struct {
 	TornWrites  uint64 // chunks forwarded as prefix+RST
 	Truncations uint64 // response chunks forwarded as prefix+FIN
 	Delayed     uint64 // chunks that slept a latency draw
-	BytesUp     uint64 // clean bytes forwarded client→server
-	BytesDown   uint64 // clean bytes forwarded server→client
+	BytesUp     uint64 // clean client→server bytes handed to the forwarding write
+	BytesDown   uint64 // clean server→client bytes handed to the forwarding write
 }
 
 // Proxy is a fault-injecting TCP proxy bound to 127.0.0.1. One Proxy
@@ -447,14 +447,17 @@ func (p *Proxy) pump(pr *pair, src, dst net.Conn, toClient bool, faults *rng.Sou
 				pr.kill(false)
 				return
 			}
-			if _, werr := dst.Write(chunk); werr != nil {
-				pr.kill(false)
-				return
-			}
+			// Count before forwarding: once the far side has the bytes it
+			// can answer (or the client can see EOF) before this goroutine
+			// runs again, and Stats must already reflect them by then.
 			if toClient {
 				p.bytesDown.Add(uint64(n))
 			} else {
 				p.bytesUp.Add(uint64(n))
+			}
+			if _, werr := dst.Write(chunk); werr != nil {
+				pr.kill(false)
+				return
 			}
 			if ph.BandwidthKBps > 0 {
 				time.Sleep(time.Duration(float64(n) / float64(ph.BandwidthKBps<<10) * float64(time.Second)))

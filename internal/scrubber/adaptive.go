@@ -8,7 +8,7 @@ import (
 // Policy decides the next scrub interval from the outcome of the pass
 // that just completed — the hook for adaptive scrub schemes, which the
 // paper cites as orthogonal enhancements (§VIII-E, Awasthi et al.).
-// Implementations must be safe for use from the scrubber goroutine.
+// Implementations must be safe for use from the scrub daemon goroutine.
 type Policy interface {
 	// NextInterval returns the delay before the next pass.
 	NextInterval(p Pass, current time.Duration) time.Duration

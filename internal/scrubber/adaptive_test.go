@@ -120,34 +120,3 @@ func TestAdaptiveTreatsErrorsAsPressure(t *testing.T) {
 		t.Fatalf("error pass: %v", got)
 	}
 }
-
-func TestScrubberAppliesPolicy(t *testing.T) {
-	// Under constant multi-bit pressure the loop's interval must walk
-	// down to the policy floor.
-	ft := &fakeTarget{report: cache.ScrubReport{RAIDRepairs: 1}}
-	pol, err := NewAdaptivePolicy(time.Millisecond, 64*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(ft, Config{Interval: 16 * time.Millisecond, Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.CurrentInterval(); got != 16*time.Millisecond {
-		t.Fatalf("initial CurrentInterval = %v", got)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(3 * time.Second)
-	for s.CurrentInterval() > time.Millisecond {
-		select {
-		case <-deadline:
-			t.Fatalf("interval stuck at %v", s.CurrentInterval())
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
-	}
-}

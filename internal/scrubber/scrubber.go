@@ -1,46 +1,21 @@
-// Package scrubber runs the periodic scrub loop that SuDoku's
-// reliability analysis presumes (§II-D): every ScrubInterval, read
-// every line, correct what the per-line and group codes can correct,
-// and write back — bounding the window in which thermal faults can
-// accumulate.
+// Package scrubber holds the vocabulary of the periodic scrub that
+// SuDoku's reliability analysis presumes (§II-D): every ScrubInterval,
+// read every line, correct what the per-line and group codes can
+// correct, and write back — bounding the window in which thermal
+// faults can accumulate.
 //
-// The Scrubber owns one background goroutine with an explicit
-// lifecycle (Start/Stop, no fire-and-forget): callers stop it and wait
-// for it to drain. An optional fault injector runs before each pass so
-// demos and soak tests can emulate an interval's worth of thermal
-// noise.
+// A Pass is one scrub's outcome, Stats the aggregate passes fold into,
+// and a Policy (FixedPolicy, AdaptivePolicy) picks the next interval
+// from the pass that just completed (§VIII-E). The loop that runs the
+// passes is the sharded engine's scrub daemon (internal/shard); with
+// one shard its rotation is the paper's stop-the-world pass.
 package scrubber
 
 import (
-	"errors"
-	"fmt"
-	"sync"
 	"time"
 
 	"sudoku/internal/cache"
 )
-
-// Target is the cache surface the scrubber drives.
-type Target interface {
-	// Scrub performs one full scrub pass.
-	Scrub() (cache.ScrubReport, error)
-}
-
-// Config parameterizes the loop.
-type Config struct {
-	// Interval is the scrub period (the paper's 20 ms; long-running
-	// hosts usually stretch this in wall-clock terms).
-	Interval time.Duration
-	// InjectFaults, when non-nil, runs immediately before every pass —
-	// typically cache.InjectRandomFaults with a per-interval budget.
-	InjectFaults func() error
-	// OnReport, when non-nil, receives every pass's report (metrics,
-	// logging). It runs on the scrubber goroutine; keep it fast.
-	OnReport func(Pass)
-	// Policy, when non-nil, adapts the interval after every pass
-	// (§VIII-E adaptive scrubbing). Nil keeps the fixed interval.
-	Policy Policy
-}
 
 // Pass describes one completed scrub pass.
 type Pass struct {
@@ -78,9 +53,7 @@ func (st *Stats) Add(o Stats) {
 	st.Errors += o.Errors
 }
 
-// Observe folds one completed pass into the aggregate. Both the
-// stop-the-world Scrubber and the sharded incremental daemon account
-// passes through this, so their stats stay comparable. Errors count as
+// Observe folds one completed pass into the aggregate. Errors count as
 // failed passes; a failed pass contributes no repair counters.
 func (st *Stats) Observe(p Pass) {
 	st.Passes++
@@ -93,165 +66,4 @@ func (st *Stats) Observe(p Pass) {
 	st.RAIDRepairs += p.Report.RAIDRepairs
 	st.Hash2Repairs += p.Report.Hash2Repairs
 	st.DUELines += len(p.Report.DUELines)
-}
-
-// ErrAlreadyRunning is returned by Start on a running scrubber.
-var ErrAlreadyRunning = errors.New("scrubber: already running")
-
-// ErrNotRunning is returned by Stop on a stopped scrubber.
-var ErrNotRunning = errors.New("scrubber: not running")
-
-// Scrubber drives periodic scrub passes over a Target. All methods are
-// safe for concurrent use.
-type Scrubber struct {
-	target Target
-	cfg    Config
-
-	mu       sync.Mutex
-	stopCh   chan struct{}
-	doneCh   chan struct{}
-	stats    Stats
-	running  bool
-	stopping bool
-	interval time.Duration
-}
-
-// New builds a scrubber.
-func New(target Target, cfg Config) (*Scrubber, error) {
-	if target == nil {
-		return nil, errors.New("scrubber: nil target")
-	}
-	if cfg.Interval <= 0 {
-		return nil, fmt.Errorf("scrubber: interval %v", cfg.Interval)
-	}
-	return &Scrubber{target: target, cfg: cfg}, nil
-}
-
-// Start launches the background loop. It returns ErrAlreadyRunning if
-// the loop is active.
-func (s *Scrubber) Start() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.running {
-		return ErrAlreadyRunning
-	}
-	s.stopCh = make(chan struct{})
-	s.doneCh = make(chan struct{})
-	s.running = true
-	go s.loop(s.stopCh, s.doneCh)
-	return nil
-}
-
-// Stop signals the loop to finish its current pass and waits for it to
-// exit.
-func (s *Scrubber) Stop() error {
-	s.mu.Lock()
-	if !s.running || s.stopping {
-		s.mu.Unlock()
-		return ErrNotRunning
-	}
-	s.stopping = true // claim the shutdown: concurrent Stops bail out
-	stop, done := s.stopCh, s.doneCh
-	s.mu.Unlock()
-
-	close(stop)
-	<-done
-
-	s.mu.Lock()
-	s.running = false
-	s.stopping = false
-	s.mu.Unlock()
-	return nil
-}
-
-// Running reports whether the loop is active.
-func (s *Scrubber) Running() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running
-}
-
-// Stats returns a snapshot of the aggregate counters.
-func (s *Scrubber) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// RunOnce performs a single synchronous pass (inject, scrub, account)
-// without the background loop — deterministic tests and simulations
-// drive this directly.
-func (s *Scrubber) RunOnce() (Pass, error) {
-	pass := s.doPass()
-	if pass.Err != nil {
-		return pass, pass.Err
-	}
-	return pass, nil
-}
-
-// loop is the background goroutine body.
-func (s *Scrubber) loop(stop, done chan struct{}) {
-	defer close(done)
-	interval := s.cfg.Interval
-	timer := time.NewTimer(interval)
-	defer timer.Stop()
-	for {
-		select {
-		case <-timer.C:
-			pass := s.doPass()
-			if s.cfg.OnReport != nil {
-				s.cfg.OnReport(pass)
-			}
-			if s.cfg.Policy != nil {
-				interval = s.cfg.Policy.NextInterval(pass, interval)
-				s.setInterval(interval)
-			}
-			timer.Reset(interval)
-		case <-stop:
-			return
-		}
-	}
-}
-
-// setInterval records the loop's current interval for observability.
-func (s *Scrubber) setInterval(d time.Duration) {
-	s.mu.Lock()
-	s.interval = d
-	s.mu.Unlock()
-}
-
-// CurrentInterval returns the interval the loop is running at (the
-// configured one until a Policy changes it).
-func (s *Scrubber) CurrentInterval() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.interval == 0 {
-		return s.cfg.Interval
-	}
-	return s.interval
-}
-
-// doPass runs one inject+scrub cycle and folds it into the stats.
-func (s *Scrubber) doPass() Pass {
-	start := time.Now()
-	var pass Pass
-	if s.cfg.InjectFaults != nil {
-		if err := s.cfg.InjectFaults(); err != nil {
-			pass.Err = fmt.Errorf("inject: %w", err)
-		}
-	}
-	if pass.Err == nil {
-		report, err := s.target.Scrub()
-		pass.Report = report
-		if err != nil {
-			pass.Err = fmt.Errorf("scrub: %w", err)
-		}
-	}
-	pass.Took = time.Since(start)
-
-	s.mu.Lock()
-	s.stats.Observe(pass)
-	pass.Seq = s.stats.Passes
-	s.mu.Unlock()
-	return pass
 }

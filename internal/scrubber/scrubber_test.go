@@ -2,224 +2,65 @@ package scrubber
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"sudoku/internal/cache"
-	"sudoku/internal/core"
-	"sudoku/internal/rng"
 )
 
-// fakeTarget counts scrubs and returns scripted reports.
-type fakeTarget struct {
-	mu     sync.Mutex
-	calls  int
-	report cache.ScrubReport
-	err    error
-}
-
-var _ Target = (*fakeTarget)(nil)
-
-func (f *fakeTarget) Scrub() (cache.ScrubReport, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.calls++
-	return f.report, f.err
-}
-
-func (f *fakeTarget) count() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.calls
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, Config{Interval: time.Millisecond}); err == nil {
-		t.Fatal("nil target accepted")
-	}
-	if _, err := New(&fakeTarget{}, Config{}); err == nil {
-		t.Fatal("zero interval accepted")
-	}
-}
-
-func TestRunOnceAccounting(t *testing.T) {
-	ft := &fakeTarget{report: cache.ScrubReport{
+// TestStatsObserve pins pass accounting: a clean pass sums its repair
+// counters and DUE-line count; an errored pass counts in Passes and
+// Errors but adds no repair counters, whatever its report holds.
+func TestStatsObserve(t *testing.T) {
+	report := cache.ScrubReport{
 		SingleRepairs: 3, SDRRepairs: 1, RAIDRepairs: 2, Hash2Repairs: 1,
 		DUELines: []int{7},
-	}}
-	s, err := New(ft, Config{Interval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
 	}
-	pass, err := s.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pass.Seq != 1 || pass.Report.SingleRepairs != 3 {
-		t.Fatalf("pass: %+v", pass)
-	}
-	st := s.Stats()
-	want := Stats{Passes: 1, SingleRepairs: 3, SDRRepairs: 1, RAIDRepairs: 2, Hash2Repairs: 1, DUELines: 1}
-	if st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
-	}
-}
-
-func TestInjectorRunsBeforeScrub(t *testing.T) {
-	order := []string{}
-	ft := &fakeTarget{}
-	s, err := New(ft, Config{
-		Interval: time.Hour,
-		InjectFaults: func() error {
-			order = append(order, "inject")
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 1 || ft.count() != 1 {
-		t.Fatalf("order %v, scrubs %d", order, ft.count())
-	}
-}
-
-func TestErrorsCountedNotFatal(t *testing.T) {
-	ft := &fakeTarget{err: errors.New("boom")}
-	s, err := New(ft, Config{Interval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunOnce(); err == nil {
-		t.Fatal("scrub error not surfaced by RunOnce")
-	}
-	if st := s.Stats(); st.Errors != 1 || st.Passes != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	injectErr := errors.New("inject failed")
-	s2, err := New(&fakeTarget{}, Config{
-		Interval:     time.Hour,
-		InjectFaults: func() error { return injectErr },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.RunOnce(); !errors.Is(err, injectErr) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestStartStopLifecycle(t *testing.T) {
-	var reports atomic.Int64
-	ft := &fakeTarget{}
-	s, err := New(ft, Config{
-		Interval: 2 * time.Millisecond,
-		OnReport: func(Pass) { reports.Add(1) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Stop(); !errors.Is(err, ErrNotRunning) {
-		t.Fatalf("Stop before Start: %v", err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); !errors.Is(err, ErrAlreadyRunning) {
-		t.Fatalf("double Start: %v", err)
-	}
-	if !s.Running() {
-		t.Fatal("not running after Start")
-	}
-	deadline := time.After(2 * time.Second)
-	for ft.count() < 3 {
-		select {
-		case <-deadline:
-			t.Fatalf("only %d passes before deadline", ft.count())
-		case <-time.After(time.Millisecond):
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name   string
+		passes []Pass
+		want   Stats
+	}{
+		{"none", nil, Stats{}},
+		{"quiet pass", []Pass{{}}, Stats{Passes: 1}},
+		{"repairs summed", []Pass{{Report: report}},
+			Stats{Passes: 1, SingleRepairs: 3, SDRRepairs: 1, RAIDRepairs: 2, Hash2Repairs: 1, DUELines: 1}},
+		{"two passes", []Pass{{Report: report}, {Report: cache.ScrubReport{SingleRepairs: 4, DUELines: []int{1, 2}}}},
+			Stats{Passes: 2, SingleRepairs: 7, SDRRepairs: 1, RAIDRepairs: 2, Hash2Repairs: 1, DUELines: 3}},
+		{"errored pass adds no repairs", []Pass{{Report: report, Err: boom}},
+			Stats{Passes: 1, Errors: 1}},
+		{"error between clean passes", []Pass{{Report: report}, {Err: boom}, {Report: report}},
+			Stats{Passes: 3, Errors: 1, SingleRepairs: 6, SDRRepairs: 2, RAIDRepairs: 4, Hash2Repairs: 2, DUELines: 2}},
+	} {
+		var st Stats
+		for _, p := range tc.passes {
+			st.Observe(p)
 		}
-	}
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Running() {
-		t.Fatal("still running after Stop")
-	}
-	// No passes after Stop returns.
-	settled := ft.count()
-	time.Sleep(10 * time.Millisecond)
-	if ft.count() != settled {
-		t.Fatal("goroutine leaked past Stop")
-	}
-	if reports.Load() == 0 {
-		t.Fatal("OnReport never fired")
-	}
-	// Restartable.
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEndToEndWithRealCache drives the scrubber against the functional
-// STTRAM cache with a real fault injector — a soak in miniature.
-func TestEndToEndWithRealCache(t *testing.T) {
-	ccfg := cache.DefaultConfig()
-	ccfg.Lines = 1 << 14
-	ccfg.GroupSize = 64
-	ccfg.Protection = core.ProtectionZ
-	llc, err := cache.New(ccfg, fixedMem{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 64)
-	for i := uint64(0); i < 256; i++ {
-		if _, err := llc.Write(0, i*64, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := rng.New(77)
-	s, err := New(llc, Config{
-		Interval:     time.Hour, // driven manually
-		InjectFaults: func() error { return llc.InjectRandomFaults(r, 40) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 20; pass++ {
-		if _, err := s.RunOnce(); err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
-	}
-	st := s.Stats()
-	if st.Passes != 20 || st.SingleRepairs == 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.DUELines != 0 {
-		t.Fatalf("scattered singles produced %d DUEs", st.DUELines)
-	}
-	// Data still intact after 800 injected faults and 20 scrubs.
-	for i := uint64(0); i < 256; i++ {
-		got, _, err := llc.Read(0, i*64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range got {
-			if b != 0 {
-				t.Fatalf("line %d corrupted", i)
-			}
+		if st != tc.want {
+			t.Errorf("%s: stats = %+v, want %+v", tc.name, st, tc.want)
 		}
 	}
 }
 
-type fixedMem struct{}
-
-func (fixedMem) Access(_ time.Duration, _ uint64, _ bool) time.Duration {
-	return 50 * time.Nanosecond
+// TestStatsAdd pins that Add sums every counter field, the property
+// the engine relies on to keep scrub totals across daemon restarts.
+func TestStatsAdd(t *testing.T) {
+	a := Stats{Passes: 1, SingleRepairs: 2, SDRRepairs: 3, RAIDRepairs: 4, Hash2Repairs: 5, DUELines: 6, Errors: 7}
+	b := Stats{Passes: 10, SingleRepairs: 20, SDRRepairs: 30, RAIDRepairs: 40, Hash2Repairs: 50, DUELines: 60, Errors: 70}
+	for _, tc := range []struct {
+		name      string
+		acc, more Stats
+		want      Stats
+	}{
+		{"zero plus zero", Stats{}, Stats{}, Stats{}},
+		{"into zero", Stats{}, a, a},
+		{"zero into", a, Stats{}, a},
+		{"every field", a, b, Stats{Passes: 11, SingleRepairs: 22, SDRRepairs: 33, RAIDRepairs: 44, Hash2Repairs: 55, DUELines: 66, Errors: 77}},
+	} {
+		st := tc.acc
+		st.Add(tc.more)
+		if st != tc.want {
+			t.Errorf("%s: %+v + %+v = %+v, want %+v", tc.name, tc.acc, tc.more, st, tc.want)
+		}
+	}
 }

@@ -90,8 +90,10 @@ func (e *Engine) validateBatch(addrs []uint64, buf []byte, errs []error) error {
 // outcomes land in errs[i] (nil on success); failed counts the
 // non-nil entries. Shards are visited in ascending order holding one
 // sub-cache lock at a time, per the engine locking protocol; err
-// reports only structural misuse.
-func (e *Engine) ReadBatch(addrs []uint64, dst []byte, errs []error) (failed int, err error) {
+// reports only structural misuse. The shard-grouping plan is noted once
+// on tr (nil = untraced); per-item internals stay untraced.
+func (e *Engine) ReadBatch(addrs []uint64, dst []byte, errs []error, tr *reqtrace.Trace) (failed int, err error) {
+	e.batchPlanNote(tr, addrs)
 	if err := e.validateBatch(addrs, dst, errs); err != nil {
 		return 0, err
 	}
@@ -169,25 +171,13 @@ func (e *Engine) batchPlanNote(tr *reqtrace.Trace, addrs []uint64) {
 	tr.Note(reqtrace.KindBatchPlan, uint64(len(addrs)), uint8(groups))
 }
 
-// ReadBatchTraced is ReadBatch with a request trace attached: the
-// shard-grouping plan is noted once on tr, then the untraced batch
-// machinery runs unchanged.
-func (e *Engine) ReadBatchTraced(addrs []uint64, dst []byte, errs []error, tr *reqtrace.Trace) (failed int, err error) {
-	e.batchPlanNote(tr, addrs)
-	return e.ReadBatch(addrs, dst, errs)
-}
-
-// WriteBatchTraced is WriteBatch with a request trace attached.
-func (e *Engine) WriteBatchTraced(addrs []uint64, data []byte, errs []error, tr *reqtrace.Trace) (failed int, err error) {
-	e.batchPlanNote(tr, addrs)
-	return e.WriteBatch(addrs, data, errs)
-}
-
 // WriteBatch writes len(addrs) lines from data (item i at
 // data[i*LineBytes:]), grouped by shard like ReadBatch: each shard's
 // lock is taken once and every item's read-modify-write plus both PLT
-// delta updates run inside that one critical section.
-func (e *Engine) WriteBatch(addrs []uint64, data []byte, errs []error) (failed int, err error) {
+// delta updates run inside that one critical section. The plan is
+// noted on tr as in ReadBatch.
+func (e *Engine) WriteBatch(addrs []uint64, data []byte, errs []error, tr *reqtrace.Trace) (failed int, err error) {
+	e.batchPlanNote(tr, addrs)
 	if err := e.validateBatch(addrs, data, errs); err != nil {
 		return 0, err
 	}

@@ -38,8 +38,7 @@ type DaemonConfig struct {
 	// stretched in wall-clock terms).
 	Interval time.Duration
 	// Policy, when non-nil, adapts the rotation interval after every
-	// completed rotation, fed the rotation's merged report — the same
-	// ladder the stop-the-world scrubber uses.
+	// completed rotation, fed the rotation's merged report (§VIII-E).
 	Policy scrubber.Policy
 	// StormPerPass, when positive, injects that many uniform bit flips
 	// into a shard (from the shard's private RNG stream) immediately

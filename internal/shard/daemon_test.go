@@ -18,7 +18,7 @@ func seededEngine(t testing.TB) *Engine {
 	t.Helper()
 	e := mustEngine(t, testConfig(core.ProtectionZ))
 	for i := 0; i < 512; i++ {
-		if err := e.Write(uint64(i)*64, bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+		if err := e.Write(uint64(i)*64, bytes.Repeat([]byte{byte(i)}, 64), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -55,7 +55,7 @@ func TestRaceReadWriteInjectScrub(t *testing.T) {
 			defer writerWG.Done()
 			for round := 0; round < rounds; round++ {
 				for i := 0; i < perWriter; i++ {
-					if err := e.Write(addrOf(w, i), payload(w, round)); err != nil {
+					if err := e.Write(addrOf(w, i), payload(w, round), nil); err != nil {
 						errCh <- fmt.Errorf("writer %d: %w", w, err)
 						return
 					}
@@ -186,7 +186,7 @@ func TestScrubDuringWriteTorture(t *testing.T) {
 		for i := 0; i < lines; i++ {
 			b := bytes.Repeat([]byte{byte(round + 1)}, 64)
 			b[2] = byte(i)
-			if err := e.Write(uint64(i)*64, b); err != nil {
+			if err := e.Write(uint64(i)*64, b, nil); err != nil {
 				t.Fatal(err)
 			}
 			want[i] = b

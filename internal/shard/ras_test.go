@@ -23,7 +23,7 @@ func TestEngineRemapsEventCoordinates(t *testing.T) {
 	addrA, addrB := uint64(3*64), uint64((512+3)*64)
 	data := bytes.Repeat([]byte{0x9c}, 64)
 	for _, a := range []uint64{addrA, addrB} {
-		if err := e.Write(a, data); err != nil {
+		if err := e.Write(a, data, nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, b := range []int{11, 22} {
@@ -71,7 +71,7 @@ func TestEngineHealthAggregates(t *testing.T) {
 		t.Fatalf("spares free = %d, want %d", e.SparesFree(), e.Shards())
 	}
 	data := bytes.Repeat([]byte{0x33}, 64)
-	if err := e.Write(192, data); err != nil { // shard 3
+	if err := e.Write(192, data, nil); err != nil { // shard 3
 		t.Fatal(err)
 	}
 	if err := e.InjectStuckAt(192, 3, true); err != nil {
@@ -89,7 +89,7 @@ func TestEngineHealthAggregates(t *testing.T) {
 		t.Fatalf("read via spare: %v", err)
 	}
 	// Parity fault in shard 0, group 0 (materialized by a write).
-	if err := e.Write(0, data); err != nil {
+	if err := e.Write(0, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	if g := e.ParityGroups(); g <= 0 {

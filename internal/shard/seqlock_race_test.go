@@ -50,7 +50,7 @@ func TestRaceSeqlockReadersVsAllMutators(t *testing.T) {
 			defer writerWG.Done()
 			for round := 0; round < rounds; round++ {
 				for i := 0; i < perWriter; i++ {
-					if err := e.Write(addrOf(w, i), payload(w, round)); err != nil {
+					if err := e.Write(addrOf(w, i), payload(w, round), nil); err != nil {
 						errCh <- fmt.Errorf("writer %d: %w", w, err)
 						return
 					}
@@ -76,7 +76,7 @@ func TestRaceSeqlockReadersVsAllMutators(t *testing.T) {
 				default:
 				}
 				for i := 0; i < int(progress[w].Load()); i++ {
-					err := e.ReadInto(addrOf(w, i), dst)
+					err := e.ReadInto(addrOf(w, i), dst, nil)
 					if errors.Is(err, cache.ErrUncorrectable) {
 						continue // a DUE under the storm is data, not a bug
 					}
@@ -119,7 +119,7 @@ func TestRaceSeqlockReadersVsAllMutators(t *testing.T) {
 				continue
 			}
 			dst = append(dst[:0], make([]byte, len(addrs)*64)...)
-			if _, err := e.ReadBatch(addrs, dst, errs[:len(addrs)]); err != nil {
+			if _, err := e.ReadBatch(addrs, dst, errs[:len(addrs)], nil); err != nil {
 				errCh <- fmt.Errorf("batch: %w", err)
 				return
 			}
@@ -274,7 +274,7 @@ func TestRaceSeqlockReadersVsAllMutators(t *testing.T) {
 		for w := 0; w < writers; w++ {
 			want := payload(w, rounds-1)
 			for i := 0; i < perWriter; i++ {
-				err := e.ReadInto(addrOf(w, i), dst)
+				err := e.ReadInto(addrOf(w, i), dst, nil)
 				if errors.Is(err, cache.ErrUncorrectable) {
 					continue
 				}

@@ -256,42 +256,25 @@ func (e *Engine) Read(addr uint64) ([]byte, error) {
 
 // ReadInto is Read into a caller-provided buffer of LineBytes bytes —
 // the allocation-free fast path for steady-state readers that reuse a
-// line buffer.
-func (e *Engine) ReadInto(addr uint64, dst []byte) error {
-	s, sub := e.locate(addr)
-	st := e.shards[s]
-	lat, err := st.llc.ReadInto(st.now(), sub, dst)
-	st.advance(lat)
-	return err
-}
-
-// Write stores a full 64-byte line at addr.
-func (e *Engine) Write(addr uint64, data []byte) error {
-	s, sub := e.locate(addr)
-	st := e.shards[s]
-	lat, err := st.llc.Write(st.now(), sub, data)
-	st.advance(lat)
-	return err
-}
-
-// ReadIntoTraced is ReadInto with a request trace attached: the shard
-// routing decision and every repair rung the access traverses are
-// noted on tr (nil tr = untraced, one branch per point).
-func (e *Engine) ReadIntoTraced(addr uint64, dst []byte, tr *reqtrace.Trace) error {
+// line buffer. The shard routing decision and every repair rung the
+// access traverses are noted on tr (nil tr = untraced, one branch per
+// point).
+func (e *Engine) ReadInto(addr uint64, dst []byte, tr *reqtrace.Trace) error {
 	s, sub := e.locate(addr)
 	tr.Note(reqtrace.KindShardPlan, addr, uint8(s))
 	st := e.shards[s]
-	lat, err := st.llc.ReadIntoTraced(st.now(), sub, dst, tr)
+	lat, err := st.llc.ReadInto(st.now(), sub, dst, tr)
 	st.advance(lat)
 	return err
 }
 
-// WriteTraced is Write with a request trace attached.
-func (e *Engine) WriteTraced(addr uint64, data []byte, tr *reqtrace.Trace) error {
+// Write stores a full 64-byte line at addr, noting the shard routing
+// and any repair rungs on tr (nil = untraced).
+func (e *Engine) Write(addr uint64, data []byte, tr *reqtrace.Trace) error {
 	s, sub := e.locate(addr)
 	tr.Note(reqtrace.KindShardPlan, addr, uint8(s))
 	st := e.shards[s]
-	lat, err := st.llc.WriteTraced(st.now(), sub, data, tr)
+	lat, err := st.llc.Write(st.now(), sub, data, tr)
 	st.advance(lat)
 	return err
 }

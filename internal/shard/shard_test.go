@@ -135,10 +135,10 @@ func TestReadWriteMatchesGlobal(t *testing.T) {
 	const n = 512
 	for i := 0; i < n; i++ {
 		addr := uint64(i*3) * 64 // stride past shard and set boundaries
-		if err := e.Write(addr, line(i)); err != nil {
+		if err := e.Write(addr, line(i), nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := global.Write(0, addr, line(i)); err != nil {
+		if _, err := global.Write(0, addr, line(i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestRepairLadder(t *testing.T) {
 	e := mustEngine(t, testConfig(core.ProtectionZ))
 	data := bytes.Repeat([]byte{0x5A}, 64)
 	addr := uint64(5 * 64)
-	if err := e.Write(addr, data); err != nil {
+	if err := e.Write(addr, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.InjectFault(addr, 17); err != nil {
@@ -190,7 +190,7 @@ func TestStuckAt(t *testing.T) {
 	e := mustEngine(t, testConfig(core.ProtectionZ))
 	data := bytes.Repeat([]byte{0xFF}, 64)
 	addr := uint64(9 * 64)
-	if err := e.Write(addr, data); err != nil {
+	if err := e.Write(addr, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.InjectStuckAt(addr, 3, false); err != nil {
@@ -215,7 +215,7 @@ func TestInjectRandomFaultsDeterministic(t *testing.T) {
 	build := func() *Engine {
 		e := mustEngine(t, testConfig(core.ProtectionZ))
 		for i := 0; i < 256; i++ {
-			if err := e.Write(uint64(i)*64, bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+			if err := e.Write(uint64(i)*64, bytes.Repeat([]byte{byte(i)}, 64), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -254,7 +254,7 @@ func TestInjectRandomFaultsShardCountMatters(t *testing.T) {
 		cfg.Shards = shards
 		e := mustEngine(t, cfg)
 		for i := 0; i < 256; i++ {
-			if err := e.Write(uint64(i)*64, bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+			if err := e.Write(uint64(i)*64, bytes.Repeat([]byte{byte(i)}, 64), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -277,7 +277,7 @@ func TestInjectRandomFaultsShardCountMatters(t *testing.T) {
 func TestScrubRepairsStorm(t *testing.T) {
 	e := mustEngine(t, testConfig(core.ProtectionZ))
 	for i := 0; i < 512; i++ {
-		if err := e.Write(uint64(i)*64, bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+		if err := e.Write(uint64(i)*64, bytes.Repeat([]byte{byte(i)}, 64), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +313,7 @@ func TestUnprotectedEngine(t *testing.T) {
 	cfg.Cache.Protection = 0
 	e := mustEngine(t, cfg)
 	data := bytes.Repeat([]byte{1}, 64)
-	if err := e.Write(0, data); err != nil {
+	if err := e.Write(0, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Scrub(); !errors.Is(err, cache.ErrNotProtected) {

@@ -38,6 +38,10 @@ func TestTargetedScrubDoesNotMaskStalledRotation(t *testing.T) {
 
 	<-entered
 	waitFor(t, 2*time.Second, "watchdog to flag the stall", d.Stalled)
+	// Stalled reads the heartbeat live, but the watchdog counts the stall
+	// only on its next tick; it flags each stalled pass once, so wait for
+	// that count before snapshotting the daemon stats.
+	waitFor(t, 2*time.Second, "watchdog to count the stall", func() bool { return d.Stats().Stalls == 1 })
 
 	dstatsBefore := d.Stats()
 	if dstatsBefore.Rotations != 0 {

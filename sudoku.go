@@ -7,9 +7,11 @@
 //
 // The package exposes three entry points:
 //
-//   - New builds a functional, protected STTRAM cache: write and read
-//     real data, inject thermal faults, scrub, and watch the X/Y/Z
-//     repair ladder work (or fail, at the weaker levels).
+//   - NewConcurrent builds a functional, protected STTRAM cache: write
+//     and read real data, inject thermal faults, scrub, and watch the
+//     X/Y/Z repair ladder work (or fail, at the weaker levels). Its line
+//     space is interleaved across bank shards; Config.Shards = 1 is the
+//     paper's single-lock cache with one stop-the-world scrub (§II-D).
 //   - AnalyzeReliability evaluates the paper's closed-form FIT/MTTF
 //     models for SuDoku-X/Y/Z and the uniform-ECC baselines.
 //   - Simulate runs Monte Carlo fault injection against the full
@@ -25,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sudoku/internal/analytic"
@@ -37,7 +38,6 @@ import (
 	"sudoku/internal/persist"
 	"sudoku/internal/ras"
 	"sudoku/internal/reqtrace"
-	"sudoku/internal/rng"
 	"sudoku/internal/scrubber"
 	"sudoku/internal/shard"
 	"sudoku/internal/sttram"
@@ -117,21 +117,22 @@ type Config struct {
 	// the paper's ECC-1; 2 for the §VII-G BCH enhancement (stronger at
 	// low Δ, 10 extra metadata bits per line).
 	ECCStrength int
-	// Shards is the concurrency shard count for NewConcurrent (a power
-	// of two dividing the line count; 0 picks the largest feasible
-	// count up to Banks). New ignores it.
+	// Shards is the concurrency shard count (a power of two dividing
+	// the line count; 0 picks the largest feasible count up to Banks).
+	// 1 is the single-lock engine: one parity domain over the whole
+	// cache, GroupSize as configured.
 	Shards int
-	// Seed seeds the concurrent engine's per-shard RNG streams
-	// (NewConcurrent only). For a fixed (Seed, Shards) the engine's
-	// stochastic behaviour is reproducible bit-for-bit.
+	// Seed seeds the engine's per-shard RNG streams. For a fixed
+	// (Seed, Shards) the engine's stochastic behaviour is reproducible
+	// bit-for-bit.
 	Seed uint64
 	// RetireCEThreshold enables line retirement: a line whose
 	// correctable-error leaky bucket reaches this count is remapped to
 	// a hardened spare row and withdrawn from the STTRAM array. Zero
 	// disables retirement. Requires protection.
 	RetireCEThreshold int
-	// SpareLines is the retirement spare-pool size (per shard in
-	// NewConcurrent). Zero with retirement enabled picks a default.
+	// SpareLines is the retirement spare-pool size per shard. Zero with
+	// retirement enabled picks a default.
 	SpareLines int
 	// QuarantineAuditPasses enables region quarantine: every N scrub
 	// passes a parity audit hunts for regions whose parity line itself
@@ -157,41 +158,6 @@ func DefaultConfig() Config {
 		WriteLatency: 18 * time.Nanosecond,
 		Banks:        32,
 	}
-}
-
-// Cache is a functional SuDoku-protected STTRAM cache with 64-byte
-// lines. It is safe for concurrent use.
-type Cache struct {
-	inner *cache.STTRAM
-	ras   *ras.Log
-	start time.Time
-	// clock is the logical time base in nanoseconds, advanced atomically
-	// by each access's modeled latency so concurrent accessors never
-	// race on it. Under concurrency the accumulation is approximate:
-	// two overlapped accesses may observe the same "now".
-	clock atomic.Int64
-}
-
-// New builds a cache. Addresses map onto a backing store, so evicted
-// lines survive and reads always return the last written data (unless
-// a fault pattern defeats the configured protection, which surfaces as
-// ErrUncorrectable).
-func New(cfg Config) (*Cache, error) {
-	ccfg, err := cfg.cacheConfig()
-	if err != nil {
-		return nil, err
-	}
-	mem, err := dram.New(dram.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	inner, err := cache.New(ccfg, mem)
-	if err != nil {
-		return nil, err
-	}
-	log := ras.NewLog(0)
-	inner.SetEventSink(log.Append)
-	return &Cache{inner: inner, ras: log, start: time.Now()}, nil
 }
 
 // cacheConfig lowers the public Config onto the substrate geometry.
@@ -254,14 +220,12 @@ type Health struct {
 	QuarantinedRegions int
 	// StuckCells is the number of injected permanent faults.
 	StuckCells int
-	// ScrubRunning reports whether the background scrub daemon is live
-	// (always false for the synchronous Cache).
+	// ScrubRunning reports whether the background scrub daemon is live.
 	ScrubRunning bool
 	// Uptime is the time since the cache was constructed.
 	Uptime time.Duration
 	// LastScrubPass is the completion time of the daemon's most recent
-	// per-shard pass (zero before the first pass, and always for the
-	// synchronous Cache).
+	// per-shard pass (zero before the first pass).
 	LastScrubPass time.Time
 	// ScrubPassAge is the time since LastScrubPass (0 when none yet) —
 	// the staleness a monitoring alert keys on: a healthy daemon keeps
@@ -282,7 +246,7 @@ type Health struct {
 	// compensating for clustered-fault pressure.
 	Storm StormStats
 	// RestoredAt is when this engine warm-started from a snapshot (zero
-	// for a cold start; Concurrent only).
+	// for a cold start).
 	RestoredAt time.Time
 	// SnapshotGeneration is the generation of the most recent snapshot
 	// cut or restored (0 before either).
@@ -309,13 +273,12 @@ type Health struct {
 	// TracesPublished / TraceDrops are the flight recorder's lifetime
 	// publish and drop counters. Drops mean anomalous traces were lost
 	// to publish contention — a sampler-pressure signal, never a 503
-	// condition. Always zero for the synchronous Cache (no tracer).
+	// condition.
 	TracesPublished int64
 	TraceDrops      int64
 	// LastAnomalyAge is the time since the most recent anomalous trace
-	// was published to the flight recorder: -1 when none ever was (or
-	// for the synchronous Cache). A small value during fault pressure
-	// means the tail sampler is live.
+	// was published to the flight recorder: -1 when none ever was. A
+	// small value during fault pressure means the tail sampler is live.
 	LastAnomalyAge time.Duration
 }
 
@@ -323,45 +286,13 @@ type Health struct {
 // pattern defeats the configured protection level (a DUE).
 var ErrUncorrectable = cache.ErrUncorrectable
 
-// now loads the logical clock; advance moves it by one access latency.
-func (c *Cache) now() time.Duration { return time.Duration(c.clock.Load()) }
-
-func (c *Cache) advance(lat time.Duration) {
-	if lat > 0 {
-		c.clock.Add(int64(lat))
-	}
-}
-
-// Read returns the 64-byte line containing addr.
-func (c *Cache) Read(addr uint64) ([]byte, error) {
-	data, lat, err := c.inner.Read(c.now(), addr)
-	c.advance(lat)
-	return data, err
-}
-
-// ReadInto is Read into a caller-provided 64-byte buffer — the
-// allocation-free form for callers that reuse a line buffer across
-// accesses.
-func (c *Cache) ReadInto(addr uint64, dst []byte) error {
-	lat, err := c.inner.ReadInto(c.now(), addr, dst)
-	c.advance(lat)
-	return err
-}
-
-// Write stores a 64-byte line at addr.
-func (c *Cache) Write(addr uint64, data []byte) error {
-	lat, err := c.inner.Write(c.now(), addr, data)
-	c.advance(lat)
-	return err
-}
-
 // batchErrsPool recycles the per-item error slices of the batch APIs:
 // on the all-success path the slice never escapes to the caller (the
 // APIs return a nil slice), so the common case stays allocation-free.
 var batchErrsPool = sync.Pool{New: func() any { return new([]error) }}
 
 // getBatchErrs hands out the pooled box itself (not the slice) so
-// putBatchErrs can return the same box: a put that re-boxes the slice
+// finishBatch can return the same box: a put that re-boxes the slice
 // (`Put(&s)`) heap-allocates a fresh pointer on every call, which was
 // the batch paths' residual 1 alloc/op.
 func getBatchErrs(n int) *[]error {
@@ -374,7 +305,14 @@ func getBatchErrs(n int) *[]error {
 	return p
 }
 
-func putBatchErrs(p *[]error) {
+// finishBatch applies the batch return contract to a pooled error
+// slice: on success or structural misuse the box goes back to the pool
+// and the caller gets nil; otherwise the slice escapes to the caller
+// and its box is dropped.
+func finishBatch(p *[]error, failed int, err error) ([]error, error) {
+	if err == nil && failed > 0 {
+		return *p, nil
+	}
 	// Clear before pooling: an aborted batch can leave stale non-nil
 	// entries past the point of abort.
 	s := *p
@@ -383,162 +321,7 @@ func putBatchErrs(p *[]error) {
 	}
 	*p = s[:0]
 	batchErrsPool.Put(p)
-}
-
-// ReadBatch reads len(addrs) lines into dst (64×len(addrs) bytes, item
-// i at dst[i*64:]) under a single engine-lock acquisition, amortizing
-// the per-call overhead across the batch. Per-item outcomes come back
-// in the returned slice (nil when every item succeeded, else one entry
-// per item with nil for successes); err reports structural misuse
-// (mismatched buffer length), in which case nothing was read.
-func (c *Cache) ReadBatch(addrs []uint64, dst []byte) ([]error, error) {
-	ep := getBatchErrs(len(addrs))
-	lat, failed, err := c.inner.ReadBatchInto(c.now(), addrs, nil, dst, *ep)
-	c.advance(lat)
-	if err != nil || failed == 0 {
-		putBatchErrs(ep)
-		return nil, err
-	}
-	return *ep, nil // escapes to the caller; its box is dropped
-}
-
-// WriteBatch writes len(addrs) lines from data (item i at data[i*64:])
-// under a single engine-lock acquisition: every item's
-// read-modify-write and both PLT delta updates run inside one critical
-// section. Return contract as in ReadBatch.
-func (c *Cache) WriteBatch(addrs []uint64, data []byte) ([]error, error) {
-	ep := getBatchErrs(len(addrs))
-	lat, failed, err := c.inner.WriteBatch(c.now(), addrs, nil, data, *ep)
-	c.advance(lat)
-	if err != nil || failed == 0 {
-		putBatchErrs(ep)
-		return nil, err
-	}
-	return *ep, nil
-}
-
-// InjectFault flips one stored bit (0 ≤ bit < 553 across data, CRC,
-// and ECC fields) of the resident line holding addr.
-func (c *Cache) InjectFault(addr uint64, bit int) error {
-	return c.inner.InjectFault(addr, bit)
-}
-
-// InjectRandomFaults scatters n uniform bit flips over the cache — one
-// scrub interval's worth of thermal noise. The seed makes the pattern
-// reproducible.
-func (c *Cache) InjectRandomFaults(seed uint64, n int) error {
-	return c.inner.InjectRandomFaults(rng.New(seed), n)
-}
-
-// InjectStuckAt pins one cell of the resident line holding addr to a
-// fixed value — a permanent fault (§VI). Writes and scrubs cannot
-// clear it; the repair ladder re-corrects it on every access.
-func (c *Cache) InjectStuckAt(addr uint64, bit int, value bool) error {
-	return c.inner.InjectStuckAt(addr, bit, value)
-}
-
-// StuckCells returns the number of permanently faulty cells injected.
-func (c *Cache) StuckCells() int {
-	return c.inner.StuckCells()
-}
-
-// Geometry returns the cache's fault-model geometry, for compiling
-// fault campaigns against it.
-func (c *Cache) Geometry() FaultGeometry {
-	return FaultGeometry{Lines: c.inner.Config().Lines, LineBits: c.inner.StoredBits()}
-}
-
-// ApplyFaults injects one compiled campaign interval: the planned
-// transient flips plus any newly begun stuck-at cells. It returns the
-// number of flips that landed in live (non-retired) cells.
-func (c *Cache) ApplyFaults(ip FaultIntervalPlan) (int, error) {
-	landed, err := c.inner.InjectFaultsAt(ip.Flips)
-	if err != nil {
-		return landed, err
-	}
-	bits := c.inner.StoredBits()
-	for _, sc := range ip.Stuck {
-		if err := c.inner.InjectStuckAtPhys(sc.Pos/bits, sc.Pos%bits, sc.Value); err != nil {
-			return landed, err
-		}
-	}
-	return landed, nil
-}
-
-// Scrub runs one scrub pass, repairing everything the protection level
-// can reach and reporting the rest.
-func (c *Cache) Scrub() (ScrubReport, error) {
-	return c.inner.Scrub()
-}
-
-// Stats returns the activity counters.
-func (c *Cache) Stats() Stats {
-	return c.inner.Stats()
-}
-
-// Metrics returns the counters plus per-operation latency histograms.
-// The counters are lock-free; the histogram snapshots briefly share the
-// engine mutex with accesses (the price of synchronization-free record
-// sites on the hot path).
-func (c *Cache) Metrics() Metrics {
-	return c.inner.Metrics()
-}
-
-// SubscribeEvents attaches a live RAS event tap with the given channel
-// buffer. The fan-out never blocks: a full buffer drops events (the
-// tap's Dropped counts them) rather than stalling an access or a scrub.
-// Close the subscription when done.
-func (c *Cache) SubscribeEvents(buffer int) *RASSubscription {
-	return c.ras.Subscribe(buffer)
-}
-
-// Health returns the cache's serviceability snapshot: the RAS event
-// census and tail plus the current degradation state.
-func (c *Cache) Health() Health {
-	return Health{
-		Counts:             c.ras.Counts(),
-		Events:             c.ras.Snapshot(),
-		RetiredLines:       c.inner.RetiredLines(),
-		SparesFree:         c.inner.SparesFree(),
-		QuarantinedRegions: c.inner.QuarantinedRegions(),
-		StuckCells:         c.inner.StuckCells(),
-		Uptime:             time.Since(c.start),
-		EventsDropped:      c.ras.Dropped(),
-		LastAnomalyAge:     -1, // no tracer on the synchronous Cache
-	}
-}
-
-// NewRegistry builds a metric registry over this cache: activity and
-// repair counters, latency histograms, serviceability gauges, and the
-// per-kind RAS event census, all pulled live at scrape time.
-func (c *Cache) NewRegistry() *Registry {
-	r := telemetry.NewRegistry()
-	registerEngine(r, c.Metrics, c.ras, nil)
-	registerRuntime(r)
-	registerServiceability(r, serviceability{
-		retired:     c.inner.RetiredLines,
-		sparesFree:  c.inner.SparesFree,
-		quarantined: c.inner.QuarantinedRegions,
-		stuckCells:  c.inner.StuckCells,
-		start:       c.start,
-	})
-	return r
-}
-
-// RebuildQuarantined recomputes the parity of every quarantined region
-// and returns it to service, reporting how many regions were rebuilt.
-func (c *Cache) RebuildQuarantined() (int, error) {
-	return c.inner.RebuildQuarantined()
-}
-
-// ParityGroups returns the number of Hash-1 parity groups — the valid
-// group range for InjectParityFault.
-func (c *Cache) ParityGroups() int { return c.inner.ParityGroups() }
-
-// InjectParityFault flips one bit of a Hash-1 group's parity line —
-// the fault the scrub-time quarantine audit exists to catch.
-func (c *Cache) InjectParityFault(group, bit int) error {
-	return c.inner.InjectParityFault(group, bit)
+	return nil, err
 }
 
 // ScrubDaemonConfig parameterizes the concurrent engine's background
@@ -724,10 +507,10 @@ func (c *Concurrent) Read(addr uint64) ([]byte, error) { return c.eng.Read(addr)
 // ReadInto is Read into a caller-provided 64-byte buffer — the
 // allocation-free form for callers that reuse a line buffer across
 // accesses.
-func (c *Concurrent) ReadInto(addr uint64, dst []byte) error { return c.eng.ReadInto(addr, dst) }
+func (c *Concurrent) ReadInto(addr uint64, dst []byte) error { return c.ReadIntoTraced(addr, dst, nil) }
 
 // Write stores a 64-byte line at addr.
-func (c *Concurrent) Write(addr uint64, data []byte) error { return c.eng.Write(addr, data) }
+func (c *Concurrent) Write(addr uint64, data []byte) error { return c.WriteTraced(addr, data, nil) }
 
 // Tracer returns the engine's always-on request tracer. Its Ring is the
 // flight recorder behind /debug/flightrec, /healthz trace fields, and
@@ -740,12 +523,12 @@ func (c *Concurrent) Tracer() *Tracer { return c.tracer }
 // untraced case). Begin/Finish bracketing is the caller's — the server
 // owns the trace across the whole request, this method only threads it.
 func (c *Concurrent) ReadIntoTraced(addr uint64, dst []byte, tr *Trace) error {
-	return c.eng.ReadIntoTraced(addr, dst, tr)
+	return c.eng.ReadInto(addr, dst, tr)
 }
 
 // WriteTraced is Write with a request trace attached; see ReadIntoTraced.
 func (c *Concurrent) WriteTraced(addr uint64, data []byte, tr *Trace) error {
-	return c.eng.WriteTraced(addr, data, tr)
+	return c.eng.Write(addr, data, tr)
 }
 
 // TraceRead is the self-bracketing traced read: it draws a trace from
@@ -755,14 +538,14 @@ func (c *Concurrent) WriteTraced(addr uint64, data []byte, tr *Trace) error {
 // apart from server traffic (which uses the wire op byte).
 func (c *Concurrent) TraceRead(id uint64, addr uint64, dst []byte) (published bool, err error) {
 	tr := c.tracer.Begin(id, 'R')
-	err = c.eng.ReadIntoTraced(addr, dst, tr)
+	err = c.eng.ReadInto(addr, dst, tr)
 	return c.tracer.Finish(tr), err
 }
 
 // TraceWrite is the self-bracketing traced write; see TraceRead.
 func (c *Concurrent) TraceWrite(id uint64, addr uint64, data []byte) (published bool, err error) {
 	tr := c.tracer.Begin(id, 'W')
-	err = c.eng.WriteTraced(addr, data, tr)
+	err = c.eng.Write(addr, data, tr)
 	return c.tracer.Finish(tr), err
 }
 
@@ -775,13 +558,7 @@ func (c *Concurrent) TraceWrite(id uint64, addr uint64, data []byte) (published 
 // misuse (mismatched buffer length), in which case the batch may be
 // partially executed.
 func (c *Concurrent) ReadBatch(addrs []uint64, dst []byte) ([]error, error) {
-	ep := getBatchErrs(len(addrs))
-	failed, err := c.eng.ReadBatch(addrs, dst, *ep)
-	if err != nil || failed == 0 {
-		putBatchErrs(ep)
-		return nil, err
-	}
-	return *ep, nil
+	return c.ReadBatchTraced(addrs, dst, nil)
 }
 
 // WriteBatch writes len(addrs) lines from data (item i at data[i*64:]),
@@ -789,38 +566,25 @@ func (c *Concurrent) ReadBatch(addrs []uint64, dst []byte) ([]error, error) {
 // every item's read-modify-write plus both PLT delta updates run
 // inside that one critical section. Return contract as in ReadBatch.
 func (c *Concurrent) WriteBatch(addrs []uint64, data []byte) ([]error, error) {
-	ep := getBatchErrs(len(addrs))
-	failed, err := c.eng.WriteBatch(addrs, data, *ep)
-	if err != nil || failed == 0 {
-		putBatchErrs(ep)
-		return nil, err
-	}
-	return *ep, nil
+	return c.WriteBatchTraced(addrs, data, nil)
 }
 
 // ReadBatchTraced is ReadBatch with a request trace attached: the batch
 // planner's shard-grouping decision is noted once on tr (per-item
-// internals stay untraced). Return contract as in ReadBatch.
+// internals stay untraced). tr may be nil. Return contract as in
+// ReadBatch.
 func (c *Concurrent) ReadBatchTraced(addrs []uint64, dst []byte, tr *Trace) ([]error, error) {
 	ep := getBatchErrs(len(addrs))
-	failed, err := c.eng.ReadBatchTraced(addrs, dst, *ep, tr)
-	if err != nil || failed == 0 {
-		putBatchErrs(ep)
-		return nil, err
-	}
-	return *ep, nil
+	failed, err := c.eng.ReadBatch(addrs, dst, *ep, tr)
+	return finishBatch(ep, failed, err)
 }
 
 // WriteBatchTraced is WriteBatch with a request trace attached; see
 // ReadBatchTraced.
 func (c *Concurrent) WriteBatchTraced(addrs []uint64, data []byte, tr *Trace) ([]error, error) {
 	ep := getBatchErrs(len(addrs))
-	failed, err := c.eng.WriteBatchTraced(addrs, data, *ep, tr)
-	if err != nil || failed == 0 {
-		putBatchErrs(ep)
-		return nil, err
-	}
-	return *ep, nil
+	failed, err := c.eng.WriteBatch(addrs, data, *ep, tr)
+	return finishBatch(ep, failed, err)
 }
 
 // InjectFault flips one stored bit of the resident line holding addr.
@@ -1001,16 +765,10 @@ func (c *Concurrent) Health() Health {
 // at /metrics (it implements http.Handler) or expvar.Publish it.
 func (c *Concurrent) NewRegistry() *Registry {
 	r := telemetry.NewRegistry()
-	registerEngine(r, c.Metrics, c.eng.Events(), c.tracer.Ring())
+	registerEngine(r, c)
 	registerRuntime(r)
 	registerTracer(r, c.tracer)
-	registerServiceability(r, serviceability{
-		retired:     c.eng.RetiredLines,
-		sparesFree:  c.eng.SparesFree,
-		quarantined: c.eng.QuarantinedRegions,
-		stuckCells:  c.eng.StuckCells,
-		start:       c.start,
-	})
+	registerServiceability(r, c)
 	registerShards(r, c.eng)
 	registerScrubDaemon(r, c)
 	registerStorm(r, c)

@@ -14,7 +14,7 @@ func fillPattern(addr uint64, dst []byte) {
 }
 
 func TestCacheBatchRoundTrip(t *testing.T) {
-	c, err := New(smallConfig(SuDokuZ))
+	c, err := NewConcurrent(singleLock(smallConfig(SuDokuZ)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +153,12 @@ func TestBatchStructuralErrors(t *testing.T) {
 	if _, err := c.WriteBatch([]uint64{0}, make([]byte, 32)); err == nil {
 		t.Fatal("short data accepted")
 	}
-	g, err := New(smallConfig(SuDokuZ))
+	g, err := NewConcurrent(singleLock(smallConfig(SuDokuZ)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.ReadBatch([]uint64{0, 64, 128}, make([]byte, 2*64)); err == nil {
-		t.Fatal("global cache: short dst accepted")
+		t.Fatal("single-lock engine: short dst accepted")
 	}
 	// Empty batches are fine.
 	if errs, err := c.ReadBatch(nil, nil); err != nil || errs != nil {

@@ -9,9 +9,9 @@ import (
 )
 
 // defeatCacheX plants two double-bit faults in one Hash-1 group of the
-// unsharded facade cache (smallConfig geometry: 2048 sets, group 0
-// spans sets 0..7).
-func defeatCacheX(t *testing.T, c *Cache, addrA, addrB uint64) {
+// single-lock engine (smallConfig geometry: 2048 sets, group 0 spans
+// sets 0..7).
+func defeatCacheX(t *testing.T, c *Concurrent, addrA, addrB uint64) {
 	t.Helper()
 	for _, f := range []struct {
 		addr uint64
@@ -25,11 +25,11 @@ func defeatCacheX(t *testing.T, c *Cache, addrA, addrB uint64) {
 	}
 }
 
-// TestDirtyDUEPropagatesThroughCache: satellite coverage for the error
-// contract at the facade — a dirty-line DUE surfaces as
-// ErrUncorrectable from Cache.Read and lands in Health.
+// TestDirtyDUEPropagatesThroughCache: the error contract at the facade
+// on the single-lock engine — a dirty-line DUE surfaces as
+// ErrUncorrectable from Read and lands in Health.
 func TestDirtyDUEPropagatesThroughCache(t *testing.T) {
-	c, err := New(smallConfig(SuDokuX))
+	c, err := NewConcurrent(singleLock(smallConfig(SuDokuX)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestDirtyDUEPropagatesThroughCache(t *testing.T) {
 // the facade caller — the read succeeds via backing-memory refetch and
 // only Health shows it happened.
 func TestCleanDUERecoveredThroughCache(t *testing.T) {
-	c, err := New(smallConfig(SuDokuX))
+	c, err := NewConcurrent(singleLock(smallConfig(SuDokuX)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestDirtyDUEPropagatesThroughConcurrent(t *testing.T) {
 // error the destination contents are unspecified and must not be used;
 // the buffer is fully valid again after the next successful call.
 func TestReadIntoBufferUnspecifiedOnError(t *testing.T) {
-	c, err := New(smallConfig(SuDokuX))
+	c, err := NewConcurrent(singleLock(smallConfig(SuDokuX)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +231,8 @@ func TestConfigRejectsBadRASFields(t *testing.T) {
 	} {
 		cfg := smallConfig(SuDokuZ)
 		mut(&cfg)
-		if _, err := New(cfg); err == nil {
-			t.Fatalf("case %d: New accepted bad config", i)
+		if _, err := NewConcurrent(singleLock(cfg)); err == nil {
+			t.Fatalf("case %d: single-lock NewConcurrent accepted bad config", i)
 		}
 		if _, err := NewConcurrent(cfg); err == nil {
 			t.Fatalf("case %d: NewConcurrent accepted bad config", i)

@@ -34,7 +34,7 @@ func telemetryConfig() Config {
 }
 
 func TestMetricsMatchesStats(t *testing.T) {
-	c, err := New(smallConfig(SuDokuZ))
+	c, err := NewConcurrent(singleLock(smallConfig(SuDokuZ)))
 	if err != nil {
 		t.Fatal(err)
 	}

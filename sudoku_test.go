@@ -19,17 +19,24 @@ func smallConfig(p Protection) Config {
 	return cfg
 }
 
+// singleLock pins cfg to one shard: the single-lock engine, with one
+// parity domain over the whole cache and GroupSize as configured.
+func singleLock(cfg Config) Config {
+	cfg.Shards = 1
+	return cfg
+}
+
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := NewConcurrent(singleLock(Config{})); err == nil {
 		t.Fatal("zero config accepted")
 	}
-	if _, err := New(smallConfig(SuDokuZ)); err != nil {
+	if _, err := NewConcurrent(singleLock(smallConfig(SuDokuZ))); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestEndToEndRepairLadder(t *testing.T) {
-	c, err := New(smallConfig(SuDokuZ))
+	c, err := NewConcurrent(singleLock(smallConfig(SuDokuZ)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +66,7 @@ func TestEndToEndRepairLadder(t *testing.T) {
 }
 
 func TestScrubAndRandomFaults(t *testing.T) {
-	c, err := New(smallConfig(SuDokuZ))
+	c, err := NewConcurrent(singleLock(smallConfig(SuDokuZ)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +98,7 @@ func TestSuDokuXWeakerThanZ(t *testing.T) {
 		level   Protection
 		wantDUE bool
 	}{{SuDokuX, true}, {SuDokuY, false}, {SuDokuZ, false}} {
-		c, err := New(smallConfig(tc.level))
+		c, err := NewConcurrent(singleLock(smallConfig(tc.level)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +209,7 @@ func TestECC2FacadeConfig(t *testing.T) {
 	// pair in one group heals at SuDoku-Y strength.
 	cfg := smallConfig(SuDokuY)
 	cfg.ECCStrength = 2
-	c, err := New(cfg)
+	c, err := NewConcurrent(singleLock(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +235,7 @@ func TestECC2FacadeConfig(t *testing.T) {
 }
 
 func TestStuckAtFacade(t *testing.T) {
-	c, err := New(smallConfig(SuDokuZ))
+	c, err := NewConcurrent(singleLock(smallConfig(SuDokuZ)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +394,7 @@ func TestSimulateReproducible(t *testing.T) {
 
 // TestConcurrentDeterministicFaults: the public concurrent engine
 // reproduces its aggregate fault/repair outcome for a fixed
-// (Seed, Shards), and routing matches the global engine's data path.
+// (Seed, Shards).
 func TestConcurrentDeterministicFaults(t *testing.T) {
 	build := func() *Concurrent {
 		cfg := smallConfig(SuDokuZ)
@@ -424,11 +431,12 @@ func TestConcurrentDeterministicFaults(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentClock is the regression test for the Cache clock
-// data race: before the clock became atomic, concurrent Read/Write
-// both did `c.clock += lat` and `go test -race` flagged it.
+// TestCacheConcurrentClock is the regression test for the logical
+// clock data race: before the clock became atomic, concurrent
+// Read/Write both did `clock += lat` and `go test -race` flagged it.
+// On the single-lock engine every access advances the same clock.
 func TestCacheConcurrentClock(t *testing.T) {
-	c, err := New(smallConfig(SuDokuZ))
+	c, err := NewConcurrent(singleLock(smallConfig(SuDokuZ)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +488,7 @@ func TestCacheConcurrentClock(t *testing.T) {
 // TestCacheReadInto checks the zero-copy read path returns the same
 // bytes as Read and validates its buffer length.
 func TestCacheReadInto(t *testing.T) {
-	c, err := New(smallConfig(SuDokuZ))
+	c, err := NewConcurrent(singleLock(smallConfig(SuDokuZ)))
 	if err != nil {
 		t.Fatal(err)
 	}

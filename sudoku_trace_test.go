@@ -115,7 +115,10 @@ func TestTraceDeepRepairLadder(t *testing.T) {
 }
 
 // TestTraceCleanReadNotPublished pins the tail-sampling policy end to
-// end: a healthy fast read produces no flight-recorder entry.
+// end: a healthy fast read produces no flight-recorder entry. It also
+// pins that tracing does not change the read path: a traced clean
+// resident read is served by the seqlock fast path, exactly as an
+// untraced one is.
 func TestTraceCleanReadNotPublished(t *testing.T) {
 	c, err := NewConcurrent(traceConfig())
 	if err != nil {
@@ -125,9 +128,17 @@ func TestTraceCleanReadNotPublished(t *testing.T) {
 	if err := c.Write(64, buf); err != nil {
 		t.Fatal(err)
 	}
+	before := c.Stats()
 	published, err := c.TraceRead(1, 64, buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	after := c.Stats()
+	if d := after.SeqlockReads - before.SeqlockReads; d != 1 {
+		t.Fatalf("traced clean read: SeqlockReads +%d, want +1 (took the locked path)", d)
+	}
+	if d := after.SeqlockFallbacks - before.SeqlockFallbacks; d != 0 {
+		t.Fatalf("traced clean read: SeqlockFallbacks +%d, want +0", d)
 	}
 	if published {
 		t.Fatal("clean read published to the flight recorder")

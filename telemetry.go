@@ -1,5 +1,4 @@
-// Registry builders: the families a Cache or Concurrent exposes at
-// /metrics. Every series is a pull closure over the engine's own atomic
+// Registry builders: the families a Concurrent exposes at /metrics. Every series is a pull closure over the engine's own atomic
 // state, so registration adds no hot-path cost — the engine pays for
 // telemetry only when something scrapes. DESIGN.md appendix 11 maps
 // each family onto the paper quantity it reproduces.
@@ -17,14 +16,14 @@ import (
 	"sudoku/internal/telemetry"
 )
 
-// registerEngine registers the families every engine flavor shares:
-// traffic and repair-ladder counters, the six latency histograms, and
-// the per-kind RAS event census. ring, when non-nil, is the flight
-// recorder used as the exemplar source for the read-hit and DUE-refetch
-// latency histograms — the buckets most directly tied to repair depth.
-func registerEngine(r *Registry, metrics func() Metrics, log *ras.Log, ring *reqtrace.Ring) {
+// registerEngine registers the engine's traffic and repair-ladder
+// counters, the six latency histograms, and the per-kind RAS event
+// census. The tracer's flight recorder is the exemplar source for the
+// read-hit and DUE-refetch latency histograms — the buckets most
+// directly tied to repair depth.
+func registerEngine(r *Registry, c *Concurrent) {
 	stat := func(pick func(Stats) int64) func() int64 {
-		return func() int64 { return pick(metrics().Stats) }
+		return func() int64 { return pick(c.Metrics().Stats) }
 	}
 	r.Counter("sudoku_reads_total", "Line reads served.",
 		stat(func(s Stats) int64 { return s.Reads }))
@@ -74,18 +73,14 @@ func registerEngine(r *Registry, metrics func() Metrics, log *ras.Log, ring *req
 		stat(func(s Stats) int64 { return s.SeqlockFallbacks }))
 
 	hist := func(pick func(Metrics) HistogramSnapshot) func() telemetry.HistogramSnapshot {
-		return func() telemetry.HistogramSnapshot { return pick(metrics()) }
+		return func() telemetry.HistogramSnapshot { return pick(c.Metrics()) }
 	}
 	// The exemplar source matches a bucket's value range against recent
 	// anomalous traces' wall durations, linking the latency distribution
 	// to the specific rung sequence a slow request actually walked
 	// (DESIGN.md appendix 16 documents the modeled-vs-wall caveat).
 	histE := func(name, help string, pick func(Metrics) HistogramSnapshot) {
-		if ring != nil {
-			r.HistogramWithExemplars(name, help, hist(pick), ring.Exemplar)
-		} else {
-			r.Histogram(name, help, hist(pick))
-		}
+		r.HistogramWithExemplars(name, help, hist(pick), c.tracer.Ring().Exemplar)
 	}
 	histE("sudoku_read_hit_latency_ns", "Modeled latency of read hits.",
 		func(m Metrics) HistogramSnapshot { return m.ReadHit })
@@ -100,6 +95,7 @@ func registerEngine(r *Registry, metrics func() Metrics, log *ras.Log, ring *req
 	r.Histogram("sudoku_scrub_pass_duration_ns", "Wall-clock duration of scrub passes.",
 		hist(func(m Metrics) HistogramSnapshot { return m.ScrubPass }))
 
+	log := c.eng.Events()
 	for _, k := range ras.Kinds() {
 		kind := k
 		r.Counter("sudoku_ras_events_total", "RAS events by kind.",
@@ -126,8 +122,7 @@ func buildInfo() (goversion, revision string) {
 	return goversion, revision
 }
 
-// registerRuntime registers the process-level families shared by both
-// engine flavors: build provenance (the constant-1 gauge Prometheus
+// registerRuntime registers the process-level families: build provenance (the constant-1 gauge Prometheus
 // joins on), live goroutine count, and cumulative GC pause time —
 // the context a latency regression is read against.
 func registerRuntime(r *Registry) {
@@ -161,23 +156,17 @@ func registerTracer(r *Registry, tp *reqtrace.Tracer) {
 	r.Counter("sudoku_traces_dropped_total", "Anomalous traces dropped at the flight recorder under publish contention.", ring.Dropped)
 }
 
-// serviceability is the degradation-state source for the gauges shared
-// by both engine flavors.
-type serviceability struct {
-	retired, sparesFree, quarantined, stuckCells func() int
-	start                                        time.Time
-}
-
-func registerServiceability(r *Registry, s serviceability) {
+// registerServiceability registers the degradation-state gauges.
+func registerServiceability(r *Registry, c *Concurrent) {
 	igauge := func(fn func() int) func() float64 {
 		return func() float64 { return float64(fn()) }
 	}
-	r.Gauge("sudoku_retired_lines", "Lines currently remapped to spare rows.", igauge(s.retired))
-	r.Gauge("sudoku_spares_free", "Unused spare rows remaining.", igauge(s.sparesFree))
-	r.Gauge("sudoku_quarantined_regions", "Parity regions currently out of service.", igauge(s.quarantined))
-	r.Gauge("sudoku_stuck_cells", "Injected permanent faults currently present.", igauge(s.stuckCells))
+	r.Gauge("sudoku_retired_lines", "Lines currently remapped to spare rows.", igauge(c.eng.RetiredLines))
+	r.Gauge("sudoku_spares_free", "Unused spare rows remaining.", igauge(c.eng.SparesFree))
+	r.Gauge("sudoku_quarantined_regions", "Parity regions currently out of service.", igauge(c.eng.QuarantinedRegions))
+	r.Gauge("sudoku_stuck_cells", "Injected permanent faults currently present.", igauge(c.eng.StuckCells))
 	r.Gauge("sudoku_uptime_seconds", "Seconds since the cache was constructed.",
-		func() float64 { return time.Since(s.start).Seconds() })
+		func() float64 { return time.Since(c.start).Seconds() })
 }
 
 // registerShards registers the per-shard traffic series — the labeled
