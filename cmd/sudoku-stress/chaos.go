@@ -90,18 +90,73 @@ type chaosCounters struct {
 	rebuilds             atomic.Int64
 }
 
-// runChaos is the -chaos entry point.
-func runChaos(o options, out io.Writer) error {
-	cfg := buildConfig(o)
-	cfg.RetireCEThreshold = 3
-	cfg.SpareLines = 4
-	cfg.QuarantineAuditPasses = 2
-	c, err := sudoku.NewConcurrent(cfg)
-	if err != nil {
+// Storm calibration of campaign runs: the calibrator skips
+// calibrationSettle of cold-start transients, measures the steady
+// weighted repair-event rate over the next calibrationSpan, and only
+// then arms the storm controller at multiples of the measurement.
+const (
+	calibrationSettle = 300 * time.Millisecond
+	calibrationSpan   = 1200 * time.Millisecond // long enough to average over churn clumps
+)
+
+// firstPressureInterval returns the first interval of the campaign's
+// hotspot or burst windows, or -1 if it has none.
+func firstPressureInterval(cam sudoku.FaultCampaign) int {
+	first := -1
+	for _, ev := range cam.Events {
+		if ev.Kind != sudoku.FaultHotspot && ev.Kind != sudoku.FaultBurst {
+			continue
+		}
+		if first < 0 || ev.Start < first {
+			first = ev.Start
+		}
+	}
+	return first
+}
+
+// checkChaosCalibration rejects a bounded-pressure campaign whose first
+// pressure window opens (interval Start × -scrub) before the storm
+// calibration ends: the controller's thresholds would be calibrated on
+// the pressure itself, and the storm gate would then fail a run that
+// was too short to judge. For a preset, whose windows scale with the
+// run, the error names the shortest valid -duration.
+func checkChaosCalibration(o options, base int) error {
+	intervals := int(o.duration/o.scrub) + 1
+	cam, err := loadCampaign(o.campaign, intervals, base)
+	if err != nil || !boundedPressure(cam) {
 		return err
 	}
-	budget := chaosStormBudget(o.cachemb << 20 / 64)
+	calibrated := calibrationSettle + calibrationSpan
+	first := firstPressureInterval(cam)
+	opens := time.Duration(first) * o.scrub
+	if opens >= calibrated {
+		return nil
+	}
+	if !isPreset(o.campaign) {
+		return fmt.Errorf("chaos: campaign %q opens its first pressure window at %v (interval %d × -scrub %v), before storm calibration ends at %v; start the window later or raise -scrub",
+			o.campaign, opens, first, o.scrub, calibrated)
+	}
+	// A preset's windows open at a fixed fraction of the run, so some
+	// longer run clears the calibration; the bound keeps a preset that
+	// never would from looping.
+	limit := intervals + 64*int(calibrated/o.scrub) + 64
+	for n := intervals + 1; n <= limit; n++ {
+		longer, err := loadCampaign(o.campaign, n, base)
+		if err != nil {
+			return err
+		}
+		if time.Duration(firstPressureInterval(longer))*o.scrub >= calibrated {
+			return fmt.Errorf("chaos: -campaign %s at -duration %v opens its first pressure window at %v, before storm calibration ends at %v; use -duration %v or longer",
+				o.campaign, o.duration, opens, calibrated, time.Duration(n-1)*o.scrub)
+		}
+	}
+	return fmt.Errorf("chaos: -campaign %s opens its first pressure window at %v, before storm calibration ends at %v, at any -duration",
+		o.campaign, opens, calibrated)
+}
 
+// runChaos is the -chaos entry point.
+func runChaos(o options, out io.Writer) error {
+	budget := chaosStormBudget(o.cachemb << 20 / 64)
 	// Campaign routing: -campaign replaces both the daemon's per-pass
 	// storms and the controller's extra bursts as the fault source. The
 	// campaign's uniform base is half the chaos budget: the multi-bit
@@ -112,6 +167,19 @@ func runChaos(o options, out io.Writer) error {
 	// window still outruns both the steady rate and the chaos churn's
 	// episodic repair clumps by well over an order of magnitude.
 	campaignBase := budget / 2
+	if o.campaign != "" {
+		if err := checkChaosCalibration(o, campaignBase); err != nil {
+			return err
+		}
+	}
+	cfg := buildConfig(o)
+	cfg.RetireCEThreshold = 3
+	cfg.SpareLines = 4
+	cfg.QuarantineAuditPasses = 2
+	c, err := sudoku.NewConcurrent(cfg)
+	if err != nil {
+		return err
+	}
 	var plan *sudoku.FaultPlan
 	var cam sudoku.FaultCampaign
 	if o.campaign != "" {
@@ -133,10 +201,11 @@ func runChaos(o options, out io.Writer) error {
 	// is dominated by access-path repairs and so depends on machine
 	// speed, goroutine count, and the race detector, which no static
 	// model survives — the calibrator below measures it live before the
-	// earliest bounded-pressure window can open (intervals/4 ≈
-	// duration/4) and then arms the controller at multiples of the
-	// measurement. Daemon restarts from the churn loop re-wire the
-	// storm's scrub-interval policy once the controller is up.
+	// earliest bounded-pressure window opens (checkChaosCalibration
+	// rejects runs too short for that) and then arms the controller at
+	// multiples of the measurement. Daemon restarts from the churn loop
+	// re-wire the storm's scrub-interval policy once the controller is
+	// up.
 	stormReady := make(chan struct{})
 	var calibrated atomic.Int64 // steady weighted rate measured by the calibrator
 	if plan == nil {
@@ -148,12 +217,11 @@ func runChaos(o options, out io.Writer) error {
 	} else {
 		go func() {
 			defer close(stormReady)
-			time.Sleep(300 * time.Millisecond) // skip cold-start transients
+			time.Sleep(calibrationSettle)
 			beforeCounts, beforeStats := c.Health().Counts, c.Stats()
-			span := 1200 * time.Millisecond // long enough to average over churn clumps
-			time.Sleep(span)
+			time.Sleep(calibrationSpan)
 			afterCounts, afterStats := c.Health().Counts, c.Stats()
-			rate := weightedEventDelta(beforeCounts, afterCounts, beforeStats, afterStats) / span.Seconds()
+			rate := weightedEventDelta(beforeCounts, afterCounts, beforeStats, afterStats) / calibrationSpan.Seconds()
 			calibrated.Store(int64(rate))
 			// The floors matter as much as the multipliers: the chaos
 			// churn's quarantine rebuilds and daemon-restart backlogs land

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRunSharded(t *testing.T) {
@@ -74,6 +75,44 @@ func TestRunChaos(t *testing.T) {
 	for _, want := range []string{"chaos: PASS", "health: retired=", "storm="} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)
+		}
+	}
+}
+
+// TestChaosRejectsRunShorterThanCalibration: a bounded-pressure preset
+// whose first window would open inside the storm calibration (before
+// calibrationSettle+calibrationSpan = 1.5 s) is refused up front, with
+// the shortest valid -duration named, instead of failing its storm
+// gate after the soak. At -scrub 10ms the hotspot and burst presets
+// open at interval (duration/10ms+1)/4, which reaches 150 (1.5 s) at
+// 600 intervals: -duration 5.99s.
+func TestChaosRejectsRunShorterThanCalibration(t *testing.T) {
+	for _, campaign := range []string{"hotspot", "burst"} {
+		err := run([]string{
+			"-chaos", "-campaign", campaign, "-duration", "4s",
+			"-cachemb", "1", "-scrub", "10ms", "-goroutines", "8", "-quiet",
+		}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "use -duration 5.99s or longer") {
+			t.Fatalf("%s at 4s: err = %v, want a rejection naming -duration 5.99s", campaign, err)
+		}
+	}
+	// The boundary itself passes the check, and so does CI's 15 s soak;
+	// pulse's first window opens at 1/8 of the run and needs 11.99 s.
+	for _, tc := range []struct {
+		campaign string
+		duration time.Duration
+		ok       bool
+	}{
+		{"hotspot", 5990 * time.Millisecond, true},
+		{"hotspot", 5980 * time.Millisecond, false},
+		{"burst", 15 * time.Second, true},
+		{"uniform", time.Second, true},
+		{"pulse", 11 * time.Second, false},
+		{"pulse", 11990 * time.Millisecond, true},
+	} {
+		o := options{campaign: tc.campaign, duration: tc.duration, scrub: 10 * time.Millisecond}
+		if err := checkChaosCalibration(o, 100); (err == nil) != tc.ok {
+			t.Fatalf("%s at %v: err = %v, want ok=%v", tc.campaign, tc.duration, err, tc.ok)
 		}
 	}
 }

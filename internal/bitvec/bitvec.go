@@ -7,6 +7,7 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -83,16 +84,23 @@ func FromBytes(b []byte) *Vector {
 
 // SetBytes overwrites the whole vector from packed bytes (the
 // FromBytes layout) without allocating. The slice must supply exactly
-// the vector's length: len(b)*8 == Len().
+// the vector's length: len(b)*8 == Len(). Whole words load with one
+// little-endian read each; only a tail shorter than a word is
+// assembled byte by byte.
 func (v *Vector) SetBytes(b []byte) error {
 	if len(b)*8 != v.nbits {
 		return fmt.Errorf("%w: %d bytes into %d bits", ErrLengthMismatch, len(b), v.nbits)
 	}
-	for i := range v.words {
-		v.words[i] = 0
+	full := len(b) / 8
+	for i := 0; i < full; i++ {
+		v.words[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
-	for j, by := range b {
-		v.words[j/8] |= uint64(by) << (8 * (j % 8))
+	if tail := b[8*full:]; len(tail) > 0 {
+		var w uint64
+		for j, by := range tail {
+			w |= uint64(by) << (8 * j)
+		}
+		v.words[full] = w
 	}
 	return nil
 }

@@ -184,8 +184,8 @@ type Stats struct {
 	SeqlockReads int64
 	// SeqlockFallbacks counts optimistic read attempts abandoned to the
 	// locked path after locating the line: torn copies, concurrent
-	// publishes, stale generations, or CRC-flagged snapshots. Misses are
-	// not fallbacks.
+	// publishes, unpublished or invalidated mirrors, or CRC-flagged
+	// snapshots. Misses are not fallbacks.
 	SeqlockFallbacks int64
 }
 
@@ -322,6 +322,9 @@ type histograms struct {
 // small enough that the bucket arrays stay cache-resident.
 const readHitStripes = 64
 
+// way is one slot's tag metadata. The slots live in one flat array
+// indexed by physical line (set*Ways + way), so the whole tag store is a
+// single pointer-free allocation.
 type way struct {
 	tag     uint64
 	valid   bool
@@ -341,10 +344,24 @@ type STTRAM struct {
 	plt1   *core.PLT
 	plt2   *core.PLT
 
-	mu       sync.Mutex
-	sets     [][]way
-	stored   []*bitvec.Vector // physical line index -> codeword (lazy)
+	mu      sync.Mutex
+	numSets int
+	ways    []way // physical line index -> slot metadata
+
+	// The line store: one codeword arena of Lines rows, nw words each
+	// (row phys holds bits [0, lineBits) of line phys's stored codeword,
+	// or its raw payload when protection is off), and a bitmap of the
+	// materialized lines — those written, faulted or handed to a repair.
+	// Both are allocated on the first functional access, so timing-only
+	// callers never pay for them; an unmaterialized row is the zero
+	// codeword (valid: CRC(0)=0).
+	nw       int
+	lineBits int
+	arena    []uint64
+	live     []uint64
+
 	backing  map[uint64][]byte
+	zeroLine []byte               // read-only payload of a line never written back
 	stuck    map[int]map[int]bool // phys -> bit -> forced value (§VI permanent faults)
 	bankFree []float64            // per-bank next-free time, float64 ns
 	useClock atomic.Uint64        // LRU clock; atomic: the fast path ticks it lock-free
@@ -360,6 +377,12 @@ type STTRAM struct {
 
 	// fp is the seqlock read fast path (fastpath.go); nil when disabled.
 	fp *fastPath
+	// rewritten lists the lines whose codewords the current scrub, group
+	// repair or rebuild may rewrite; their mirrors are odd until
+	// resyncRewritten republishes them (fastpath.go).
+	rewritten []int
+	// view is the repair engine's window onto the arena.
+	view cacheView
 
 	// events is the RAS sink; emissions happen under c.mu with Shard 0
 	// and shard-local Line/Addr (the sharded engine's sink remaps them
@@ -397,16 +420,43 @@ type scratch struct {
 	newStored *bitvec.Vector // freshly encoded codeword (StoredBits)
 	delta     *bitvec.Vector // old⊕new parity delta (StoredBits)
 	audit     *bitvec.Vector // parity-audit group accumulator (StoredBits)
+	// probe is re-aimed at one arena row at a time for the scrub loops:
+	// LineCodec.Validate retains its argument as far as escape analysis
+	// can tell, so a stack view handed to it would cost an allocation per
+	// line checked. Everything else takes a stack view of the row.
+	probe *bitvec.Vector
 }
 
 var _ core.CacheView = (*cacheView)(nil)
 
-// cacheView adapts the stored array to core.CacheView with lazy
-// zero-codeword materialization.
-type cacheView struct{ c *STTRAM }
+// cacheView adapts the arena to core.CacheView for the group repair.
+// The repair engine holds every member's vector until it returns, so
+// Line hands out headers from a slab that repairGroup resets per call.
+// Each header aliases its line's arena row, so one handed out before
+// the slab grew stays valid. Line also turns the line's mirror odd and
+// records it: the repair may rewrite any line it was handed, and the
+// caller resyncs exactly those once the repair settles.
+type cacheView struct {
+	c    *STTRAM
+	hdrs []bitvec.Vector
+}
 
 func (v *cacheView) Line(idx int) (*bitvec.Vector, error) {
-	return v.c.lineVec(idx)
+	c := v.c
+	if idx < 0 || idx >= c.cfg.Lines {
+		return nil, fmt.Errorf("cache: line %d out of range", idx)
+	}
+	c.noteRewrite(idx)
+	v.hdrs = append(v.hdrs, c.lineView(idx))
+	return &v.hdrs[len(v.hdrs)-1], nil
+}
+
+// repairGroup runs the SuDoku-Z repair of one Hash-1 group over the
+// arena. Callers hold c.mu; every line the repair touched is on
+// c.rewritten when it returns, error or not.
+func (c *STTRAM) repairGroup(group int) (core.ZReport, error) {
+	c.view.hdrs = c.view.hdrs[:0]
+	return c.zeng.RepairHash1Group(&c.view, group)
 }
 
 // New builds the cache on top of the given memory.
@@ -420,15 +470,15 @@ func New(cfg Config, mem Memory) (*STTRAM, error) {
 	c := &STTRAM{
 		cfg:      cfg,
 		mem:      mem,
-		sets:     make([][]way, cfg.Lines/cfg.Ways),
-		stored:   make([]*bitvec.Vector, cfg.Lines),
+		numSets:  cfg.Lines / cfg.Ways,
+		ways:     make([]way, cfg.Lines),
+		lineBits: cfg.LineBytes * 8,
 		backing:  make(map[uint64][]byte),
+		zeroLine: make([]byte, cfg.LineBytes),
 		stuck:    make(map[int]map[int]bool),
 		bankFree: make([]float64, cfg.Banks),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]way, cfg.Ways)
-	}
+	c.view.c = c
 	if cfg.Protection != 0 {
 		strength := cfg.ECCStrength
 		if strength == 0 {
@@ -470,7 +520,9 @@ func New(cfg Config, mem Memory) (*STTRAM, error) {
 			newStored: bitvec.New(c.codec.StoredBits()),
 			delta:     bitvec.New(c.codec.StoredBits()),
 			audit:     bitvec.New(c.codec.StoredBits()),
+			probe:     new(bitvec.Vector),
 		}
+		c.lineBits = c.codec.StoredBits()
 		if cfg.RetireCEThreshold > 0 {
 			spares := cfg.SpareLines
 			if spares == 0 {
@@ -487,6 +539,7 @@ func New(cfg Config, mem Memory) (*STTRAM, error) {
 			c.fp = newFastPath(cfg.Lines, c.codec.StoredBits())
 		}
 	}
+	c.nw = (c.lineBits + bitvec.WordBits - 1) / bitvec.WordBits
 	c.hist.readHit = telemetry.NewStriped(readHitStripes)
 	return c, nil
 }
@@ -567,24 +620,55 @@ func (c *STTRAM) Metrics() Metrics {
 	return m
 }
 
-// lineVec returns the stored codeword of a physical line,
-// materializing the zero codeword for empty lines (valid: CRC(0)=0).
-func (c *STTRAM) lineVec(idx int) (*bitvec.Vector, error) {
-	if idx < 0 || idx >= len(c.stored) {
-		return nil, fmt.Errorf("cache: line %d out of range", idx)
+// row returns a physical line's arena row, materializing the line:
+// Scrub checks it from now on. Callers hold c.mu and pass an index in
+// [0, Lines).
+func (c *STTRAM) row(phys int) []uint64 {
+	if c.arena == nil {
+		c.allocStore()
 	}
-	if c.stored[idx] == nil {
-		c.stored[idx] = bitvec.New(c.codec.StoredBits())
-	}
-	return c.stored[idx], nil
+	c.live[phys/64] |= 1 << (phys % 64)
+	return c.arena[phys*c.nw : (phys+1)*c.nw : (phys+1)*c.nw]
+}
+
+// allocStore allocates the codeword arena and the materialized-line
+// bitmap on the first functional access.
+func (c *STTRAM) allocStore() {
+	c.arena = make([]uint64, c.cfg.Lines*c.nw)
+	c.live = make([]uint64, (c.cfg.Lines+63)/64)
+}
+
+// lineView wraps a line's arena row (materializing it) as a
+// lineBits-wide vector that aliases the arena: mutations through it are
+// mutations of the stored codeword.
+func (c *STTRAM) lineView(phys int) bitvec.Vector {
+	return bitvec.View(c.row(phys), c.lineBits)
+}
+
+// probeView aims the scratch probe header at a line's arena row and
+// returns it. The header is shared: it is valid until the next call.
+func (c *STTRAM) probeView(phys int) *bitvec.Vector {
+	*c.scr.probe = c.lineView(phys)
+	return c.scr.probe
+}
+
+// isLive reports whether a line has been materialized.
+func (c *STTRAM) isLive(phys int) bool {
+	return c.live != nil && c.live[phys/64]&(1<<(phys%64)) != 0
+}
+
+// setWays returns the slot metadata of one set.
+func (c *STTRAM) setWays(set int) []way {
+	base := set * c.cfg.Ways
+	return c.ways[base : base+c.cfg.Ways]
 }
 
 func (c *STTRAM) setIndex(addr uint64) int {
-	return int((addr / uint64(c.cfg.LineBytes)) % uint64(len(c.sets)))
+	return int((addr / uint64(c.cfg.LineBytes)) % uint64(c.numSets))
 }
 
 func (c *STTRAM) tagOf(addr uint64) uint64 {
-	return addr / uint64(c.cfg.LineBytes) / uint64(len(c.sets))
+	return addr / uint64(c.cfg.LineBytes) / uint64(c.numSets)
 }
 
 func (c *STTRAM) physIndex(set, wayIdx int) int {
@@ -625,8 +709,9 @@ func dur(nsv float64) time.Duration {
 
 // lookup finds the way holding addr, or -1.
 func (c *STTRAM) lookup(set int, tag uint64) int {
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
+	ways := c.setWays(set)
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == tag {
 			return i
 		}
 	}
@@ -637,11 +722,12 @@ func (c *STTRAM) lookup(set int, tag uint64) int {
 // because the fast path touches it without the mutex.
 func (c *STTRAM) victim(set int) int {
 	best, bestUse := 0, ^uint64(0)
-	for i := range c.sets[set] {
-		if !c.sets[set][i].valid {
+	ways := c.setWays(set)
+	for i := range ways {
+		if !ways[i].valid {
 			return i
 		}
-		if use := atomic.LoadUint64(&c.sets[set][i].lastUse); use < bestUse {
+		if use := atomic.LoadUint64(&ways[i].lastUse); use < bestUse {
 			best, bestUse = i, use
 		}
 	}
@@ -667,7 +753,7 @@ func (c *STTRAM) AccessTiming(nowNs float64, addr uint64, write bool) (latencyNs
 		c.stats.hits.Add(1)
 		c.touchWay(set, w)
 		if write {
-			c.sets[set][w].dirty = true
+			c.ways[c.physIndex(set, w)].dirty = true
 			// Read-modify-write (§III-B) plus the PLT parity update;
 			// the SRAM PLT is banked like the cache and never
 			// bottlenecks (§VII-I), so only the STTRAM op is timed.
@@ -685,15 +771,15 @@ func (c *STTRAM) AccessTiming(nowNs float64, addr uint64, write bool) (latencyNs
 	// Miss: fetch from memory, fill, possibly write back the victim.
 	c.stats.misses.Add(1)
 	v := c.victim(set)
-	if c.sets[set][v].valid {
+	if e := &c.ways[c.physIndex(set, v)]; e.valid {
 		c.stats.evictions.Add(1)
-		if c.sets[set][v].dirty {
+		if e.dirty {
 			c.stats.writeBacks.Add(1)
-			_ = c.mem.Access(dur(nowNs), c.sets[set][v].tag*uint64(len(c.sets))*uint64(c.cfg.LineBytes), true)
+			_ = c.mem.Access(dur(nowNs), e.tag*uint64(c.numSets)*uint64(c.cfg.LineBytes), true)
 		}
 	}
 	memLat := ns(c.mem.Access(dur(nowNs), c.lineAddr(addr), false))
-	// Timing-only fill: the slot's identity changes while stored keeps
+	// Timing-only fill: the slot's identity changes while the arena keeps
 	// the old occupant's codeword, so the mirror must go odd BEFORE the
 	// new tag is published (a fast reader of the new tag must never
 	// validate the old data).

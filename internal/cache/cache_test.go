@@ -646,3 +646,57 @@ func TestStatsAdd(t *testing.T) {
 		t.Fatalf("Add: %+v", sum)
 	}
 }
+
+// TestFirstTouchOfLineAllocatesNothing guards the flat line store: once
+// the arena exists, writing a never-written line (a miss and a fill)
+// and reading it back allocate nothing — the line's codeword, mirror
+// and slot metadata are all rows of preallocated arrays.
+func TestFirstTouchOfLineAllocatesNothing(t *testing.T) {
+	c, _ := mustCache(t, testConfig(core.ProtectionZ))
+	data := bytes.Repeat([]byte{0x3C}, c.cfg.LineBytes)
+	dst := make([]byte, c.cfg.LineBytes)
+	next := uint64(0)
+	touch := func() {
+		// Consecutive lines fill the sets way by way: no eviction until
+		// all 16384 lines are resident.
+		addr := next * uint64(c.cfg.LineBytes)
+		next++
+		if _, err := c.Write(0, addr, data, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dst, data) {
+			t.Fatalf("line %d: wrong data", next-1)
+		}
+	}
+	touch() // the first functional write allocates the arena
+	if n := testing.AllocsPerRun(200, touch); n != 0 {
+		t.Fatalf("first write + read of a line: %.1f allocs, want 0", n)
+	}
+	if st := c.Stats(); st.Misses < 200 || st.SeqlockReads < 200 {
+		t.Fatalf("not first touches on the fast read path: %+v", st)
+	}
+}
+
+// TestTimingOnlyAllocatesNoArena: a cache driven only through
+// AccessTiming with the fast path disabled — the performance
+// simulator's configuration — builds neither the codeword arena nor
+// the mirror arrays.
+func TestTimingOnlyAllocatesNoArena(t *testing.T) {
+	cfg := testConfig(core.ProtectionZ)
+	cfg.DisableFastReads = true
+	c, _ := mustCache(t, cfg)
+	// Each line is touched twice in a row (a miss, then a hit), and the
+	// run spans twice the capacity, so fills evict.
+	for i := 0; i < 4*cfg.Lines; i++ {
+		c.AccessTiming(float64(i), uint64((i/2)*977)*64, i%3 == 0)
+	}
+	if st := c.Stats(); st.Misses == 0 || st.Hits == 0 || st.Evictions == 0 {
+		t.Fatalf("timing run did not exercise hits, misses and evictions: %+v", st)
+	}
+	if c.fp != nil || c.arena != nil || c.live != nil {
+		t.Fatal("timing-only cache allocated a line store")
+	}
+}

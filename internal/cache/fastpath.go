@@ -2,16 +2,17 @@
 // engine mutex.
 //
 // Every mutation of a line's stored codeword happens under c.mu and is
-// republished to a per-line mirror of atomic words bracketed by a
-// sequence counter (odd while a publish is in flight, even and
-// monotonically increasing between publishes). An optimistic reader
-// locates the line through an atomic tag table, snapshots the mirror
-// words into a stack buffer, runs the CRC-31 check over the snapshot,
-// and then re-reads the sequence word: an unchanged even sequence
-// proves no publish overlapped the copy, so the snapshot is the exact
-// codeword some locked mutator published — the same bytes a locked
-// read would have returned. Anything else (torn copy, concurrent
-// publish, CRC-detected fault, missing mirror, stale generation) falls
+// republished to the line's row of a mirror arena of atomic words,
+// bracketed by the line's entry in a sequence array (odd while a
+// publish is in flight or the mirror is invalid, even and monotonically
+// increasing between publishes; 0 means never published). An optimistic
+// reader locates the line through an atomic tag table, snapshots the
+// mirror row into a stack buffer, runs the CRC-31 check over the
+// snapshot, and then re-reads the sequence word: an unchanged even
+// sequence proves no publish overlapped the copy, so the snapshot is
+// the exact codeword some locked mutator published — the same bytes a
+// locked read would have returned. Anything else (torn copy, concurrent
+// publish, CRC-detected fault, unpublished or invalidated mirror) falls
 // back to the locked path, where the full repair ladder, RAS events,
 // and retirement accounting live. The CRC alone is NOT sufficient: a
 // copy torn across two different valid codewords can pass it, and a
@@ -19,13 +20,14 @@
 // line's data — the sequence recheck and the invalidate-before-tag
 // ordering close both holes (DESIGN.md appendix 14).
 //
-// Mutators whose touched-line set is enumerable (writeLine, reloads,
-// per-line scrub repairs, injections) resync or invalidate exactly the
-// mirrors they touched. Mutators that can rewrite an unenumerable set
-// of lines (Hash-1 group repairs with Hash-2 retries, quarantine
-// rebuilds, bulk fault campaigns) instead bump a cache-wide
-// generation; a mirror published under an older generation is treated
-// as missing and the locked path lazily resyncs it on the next read.
+// Invalidation is exact. Writes, reloads and discards invalidate their
+// line and resync it when they settle; fault injections invalidate the
+// lines they flip. The group repair's view (cacheView.Line) turns every
+// line it hands out odd and records it, per-line scrub repairs and
+// quarantine rebuilds record the lines they rewrite, and the operation
+// resyncs exactly the recorded lines once permanent faults are
+// reasserted. A line left odd — an error exit, a retired line — is
+// resynced by its next locked read.
 package cache
 
 import (
@@ -43,42 +45,31 @@ import (
 // fast path rather than truncating.
 const mirrorWords = 16
 
-// lineMirror is one line's lock-free publication: the stored codeword
-// words, the generation they were published under, and the seqlock
-// word bracketing every publish.
-type lineMirror struct {
-	// seq is odd while a publish is in flight (or permanently, for
-	// retired lines, whose truth lives in the spare row) and even
-	// between publishes. It only ever increases.
-	seq atomic.Uint64
-	// gen is the cache generation the words were published under.
-	gen atomic.Uint64
-	// words mirrors the stored codeword. Atomic loads are plain MOVs on
-	// amd64; the stores all happen under c.mu.
-	words []atomic.Uint64
-}
-
-// fastPath is the lock-free read-side state hanging off an STTRAM.
-// Nil (protection off, DisableFastReads, or oversized codewords) means
-// every read takes the locked path.
+// fastPath is the lock-free read-side state hanging off an STTRAM: three
+// pointer-free arrays indexed by physical line. Nil (protection off,
+// DisableFastReads, or oversized codewords) means every read takes the
+// locked path.
 type fastPath struct {
-	// gen is the cache-wide generation, bumped under c.mu after any
-	// mutation whose touched-line set is not enumerated (group repairs,
-	// quarantine rebuilds, bulk campaigns).
-	gen atomic.Uint64
 	// tags holds tag<<1|valid per physical slot, published in lockstep
 	// with the (mutex-guarded) way metadata so optimistic readers can
 	// resolve addr→phys without the lock.
 	tags []atomic.Uint64
-	// lines holds the lazily materialized per-line mirrors.
-	lines []atomic.Pointer[lineMirror]
-	// nw is the mirror width in words.
+	// seq is each line's seqlock word: 0 until the first publish, odd
+	// while a publish is in flight or the mirror is invalid (permanently,
+	// for retired lines, whose truth lives in the spare row), even
+	// between publishes. It only ever increases.
+	seq []atomic.Uint64
+	// words is the mirror arena: line phys's published codeword occupies
+	// words[phys*nw : (phys+1)*nw]. Atomic loads are plain MOVs on
+	// amd64; the stores all happen under c.mu.
+	words []atomic.Uint64
+	// nw is the mirror row width in words.
 	nw int
-	// readHook, when non-nil, runs inside tryReadFast between the
-	// sequence acquire and the word copy — the deterministic
-	// interleaving point the seqlock unit tests drive concurrent
-	// publishes through. Set it before any traffic; test-only.
-	readHook func(m *lineMirror)
+	// readHook, when non-nil, runs inside tryReadInto between the
+	// sequence acquire and the word copy with the line being read — the
+	// deterministic interleaving point the seqlock unit tests drive
+	// concurrent publishes through. Set it before any traffic; test-only.
+	readHook func(phys int)
 }
 
 func newFastPath(lines int, storedBits int) *fastPath {
@@ -88,9 +79,15 @@ func newFastPath(lines int, storedBits int) *fastPath {
 	}
 	return &fastPath{
 		tags:  make([]atomic.Uint64, lines),
-		lines: make([]atomic.Pointer[lineMirror], lines),
+		seq:   make([]atomic.Uint64, lines),
+		words: make([]atomic.Uint64, lines*nw),
 		nw:    nw,
 	}
+}
+
+// mirror returns a line's row of the mirror arena.
+func (fp *fastPath) mirror(phys int) []atomic.Uint64 {
+	return fp.words[phys*fp.nw : (phys+1)*fp.nw]
 }
 
 // encodeTag packs (tag, valid) into one atomic word; 0 is "invalid".
@@ -113,39 +110,28 @@ func (c *STTRAM) publishTag(phys int, tag uint64, valid bool) {
 	c.fp.tags[phys].Store(encodeTag(tag, valid))
 }
 
-// bumpGen invalidates every mirror at once by advancing the cache-wide
-// generation. Callers hold c.mu. Locked reads resync stale mirrors
-// lazily via syncLine.
-func (c *STTRAM) bumpGen() {
-	if c.fp == nil {
-		return
-	}
-	c.fp.gen.Add(1)
-}
-
 // invalidateMirror turns a line's mirror odd so every optimistic read
 // of it falls back until the next syncLine. Callers hold c.mu. It must
 // precede any mutation of the line's identity or stored words that is
-// not itself followed by a syncLine.
+// not itself followed by a syncLine. A never-published mirror (sequence
+// 0) is already unusable and stays as it is.
 func (c *STTRAM) invalidateMirror(phys int) {
 	if c.fp == nil {
 		return
 	}
-	m := c.fp.lines[phys].Load()
-	if m == nil {
-		return
-	}
-	if s := m.seq.Load(); s&1 == 0 {
-		m.seq.Store(s + 1)
+	seq := &c.fp.seq[phys]
+	if s := seq.Load(); s != 0 && s&1 == 0 {
+		seq.Store(s + 1)
 	}
 }
 
-// syncLine republishes a line's stored codeword to its mirror:
-// sequence to odd, words copied, generation stamped, sequence to the
-// next even value. Callers hold c.mu and call it after every
-// enumerable mutation settles (writeLine, reloadLine, a locked read's
-// repairs). Retired lines are left permanently odd — their truth lives
-// in the spare row and only the locked path knows the remap.
+// syncLine republishes a line's stored codeword to its mirror row:
+// sequence to odd, words copied, sequence to the next even value.
+// Callers hold c.mu and call it after every mutation settles
+// (writeLine, reloadLine, a locked read's repairs, resyncRewritten),
+// so the arena exists. Retired lines are left permanently odd — their
+// truth lives in the spare row and only the locked path knows the
+// remap.
 func (c *STTRAM) syncLine(phys int) {
 	fp := c.fp
 	if fp == nil {
@@ -155,24 +141,42 @@ func (c *STTRAM) syncLine(phys int) {
 		c.invalidateMirror(phys)
 		return
 	}
-	m := fp.lines[phys].Load()
-	if m == nil {
-		m = &lineMirror{words: make([]atomic.Uint64, fp.nw)}
-		m.seq.Store(1) // born odd; readers can't use it until published
-		fp.lines[phys].Store(m)
-	} else if s := m.seq.Load(); s&1 == 0 {
-		m.seq.Store(s + 1)
+	seq := &fp.seq[phys]
+	s := seq.Load()
+	if s&1 == 0 {
+		s++
+		seq.Store(s)
 	}
-	stored := c.stored[phys]
-	for i := 0; i < fp.nw; i++ {
-		var w uint64
-		if stored != nil {
-			w = stored.Word(i)
+	dst := fp.mirror(phys)
+	src := c.arena[phys*c.nw : (phys+1)*c.nw]
+	for i := range dst {
+		dst[i].Store(src[i])
+	}
+	seq.Store(s + 1) // odd → next even
+}
+
+// noteRewrite turns a line's mirror odd and records it on c.rewritten.
+// Callers hold c.mu and are about to rewrite the line's codeword, or to
+// hand it to the group repair, which may.
+func (c *STTRAM) noteRewrite(phys int) {
+	if c.fp == nil {
+		return
+	}
+	c.invalidateMirror(phys)
+	c.rewritten = append(c.rewritten, phys)
+}
+
+// resyncRewritten republishes every line on c.rewritten except skip —
+// the line of the access in flight, which its caller resyncs once the
+// access settles — and empties the list. Callers hold c.mu and have
+// reasserted permanent faults, so each mirror matches its stored row.
+func (c *STTRAM) resyncRewritten(skip int) {
+	for _, phys := range c.rewritten {
+		if phys != skip {
+			c.syncLine(phys)
 		}
-		m.words[i].Store(w)
 	}
-	m.gen.Store(fp.gen.Load())
-	m.seq.Store(m.seq.Load() + 1) // odd → next even
+	c.rewritten = c.rewritten[:0]
 }
 
 // setWay rewrites a slot's way metadata field-wise, keeping the atomic
@@ -180,7 +184,7 @@ func (c *STTRAM) syncLine(phys int) {
 // path's concurrent atomic LRU touches. Callers hold c.mu and have
 // already invalidated the slot's mirror if the identity changed.
 func (c *STTRAM) setWay(set, w int, tag uint64, valid, dirty bool, lastUse uint64) {
-	e := &c.sets[set][w]
+	e := &c.ways[c.physIndex(set, w)]
 	e.tag = tag
 	e.valid = valid
 	e.dirty = dirty
@@ -192,14 +196,14 @@ func (c *STTRAM) setWay(set, w int, tag uint64, valid, dirty bool, lastUse uint6
 // path (which never holds it) — hence the atomic store; the clock
 // itself is atomic for the same reason.
 func (c *STTRAM) touchWay(set, w int) {
-	atomic.StoreUint64(&c.sets[set][w].lastUse, c.useClock.Add(1))
+	atomic.StoreUint64(&c.ways[c.physIndex(set, w)].lastUse, c.useClock.Add(1))
 }
 
 // TryReadInto attempts the optimistic seqlock read of the line holding
 // addr into dst, never taking the engine mutex. It returns ok=false —
 // with dst untouched — whenever the locked path must run instead: the
-// line is not (observably) resident, its mirror is missing, stale, or
-// mid-publish, the copy was torn, or the CRC flagged the snapshot.
+// line is not (observably) resident, its mirror is unpublished, invalid
+// or mid-publish, the copy was torn, or the CRC flagged the snapshot.
 // Non-clean outcomes (CE, DUE, refetch) therefore always reach the
 // locked repair ladder. The sharded engine's batch pre-pass calls this
 // per item; ReadInto calls it first on every single read.
@@ -231,25 +235,25 @@ func (c *STTRAM) tryReadInto(now time.Duration, addr uint64, dst []byte, tr *req
 		return 0, false
 	}
 	phys := base + w
-	m := fp.lines[phys].Load()
-	if m == nil {
+	seq := &fp.seq[phys]
+	s1 := seq.Load()
+	if s1 == 0 {
 		c.stats.seqlockFallbacks.Add(1)
 		tr.Note(reqtrace.KindSeqlockFallback, addr, reqtrace.SeqlockNoMirror)
 		return 0, false
 	}
-	gen := fp.gen.Load()
-	s1 := m.seq.Load()
-	if s1&1 != 0 || m.gen.Load() != gen {
+	if s1&1 != 0 {
 		c.stats.seqlockFallbacks.Add(1)
 		tr.Note(reqtrace.KindSeqlockFallback, addr, reqtrace.SeqlockSeqOdd)
 		return 0, false
 	}
 	if hook := fp.readHook; hook != nil {
-		hook(m)
+		hook(phys)
 	}
 	var buf [mirrorWords]uint64
-	for i := 0; i < fp.nw; i++ {
-		buf[i] = m.words[i].Load()
+	m := fp.mirror(phys)
+	for i := range m {
+		buf[i] = m[i].Load()
 	}
 	v := bitvec.View(buf[:fp.nw], c.codec.StoredBits())
 	if ok, err := c.codec.Check(&v); err != nil || !ok {
@@ -261,7 +265,7 @@ func (c *STTRAM) tryReadInto(now time.Duration, addr uint64, dst []byte, tr *req
 		tr.Note(reqtrace.KindSeqlockFallback, addr, reqtrace.SeqlockTorn)
 		return 0, false
 	}
-	if m.seq.Load() != s1 || fp.tags[phys].Load() != enc {
+	if seq.Load() != s1 || fp.tags[phys].Load() != enc {
 		// Torn: a publish overlapped the copy, or the slot was recycled.
 		c.stats.seqlockFallbacks.Add(1)
 		tr.Note(reqtrace.KindSeqlockFallback, addr, reqtrace.SeqlockRecheck)

@@ -73,7 +73,7 @@ func TestDisableFastReadsForcesLockedPath(t *testing.T) {
 func TestSeqlockMidCopyBumpFallsBackOnce(t *testing.T) {
 	c, addr, data := fastFixture(t)
 	fired := 0
-	c.fp.readHook = func(m *lineMirror) {
+	c.fp.readHook = func(phys int) {
 		if fired > 0 {
 			return
 		}
@@ -81,7 +81,7 @@ func TestSeqlockMidCopyBumpFallsBackOnce(t *testing.T) {
 		// A full writer publish: odd, then the next even value — the
 		// reader's s1 is now stale, so its final recheck must fail even
 		// though the words it copies are internally consistent.
-		m.seq.Add(2)
+		c.fp.seq[phys].Add(2)
 	}
 	before := c.Stats()
 	dst := make([]byte, c.cfg.LineBytes)
@@ -120,17 +120,19 @@ func TestSeqlockMidCopyBumpFallsBackOnce(t *testing.T) {
 func TestSeqlockTornCopyNeverReachesDst(t *testing.T) {
 	c, addr, data := fastFixture(t)
 	fired := false
-	c.fp.readHook = func(m *lineMirror) {
+	c.fp.readHook = func(phys int) {
 		if fired {
 			return
 		}
 		fired = true
-		s := m.seq.Load()
-		m.seq.Store(s + 1) // odd: publish in flight
-		for i := range m.words {
-			m.words[i].Store(0xDEADBEEFDEADBEEF)
+		seq := &c.fp.seq[phys]
+		s := seq.Load()
+		seq.Store(s + 1) // odd: publish in flight
+		m := c.fp.mirror(phys)
+		for i := range m {
+			m[i].Store(0xDEADBEEFDEADBEEF)
 		}
-		m.seq.Store(s + 2) // even again, words now garbage
+		seq.Store(s + 2) // even again, words now garbage
 	}
 	dst := make([]byte, c.cfg.LineBytes)
 	for i := range dst {
@@ -195,7 +197,7 @@ func TestSeqlockFaultFallsBackToRepairLadder(t *testing.T) {
 func TestSeqlockEvictionRecycleIsSafe(t *testing.T) {
 	c, _ := mustCache(t, testConfig(core.ProtectionZ))
 	lb := uint64(c.cfg.LineBytes)
-	sets := uint64(len(c.sets))
+	sets := uint64(c.numSets)
 	// Ways+1 addresses mapping to set 0 force an eviction.
 	n := c.cfg.Ways + 1
 	dst := make([]byte, c.cfg.LineBytes)
@@ -219,34 +221,108 @@ func TestSeqlockEvictionRecycleIsSafe(t *testing.T) {
 	}
 }
 
-// TestSeqlockGenerationBumpInvalidatesMirrors checks the cache-wide
-// generation path: a group repair (unenumerable touched set) makes
-// every published mirror stale, reads fall back once, then resync.
-func TestSeqlockGenerationBumpInvalidatesMirrors(t *testing.T) {
-	c, addr, data := fastFixture(t)
+// writeAndWarm writes one line per address and reads each back once, so
+// every mirror is published and the fast path is warm.
+func writeAndWarm(t *testing.T, c *STTRAM, addrs ...uint64) [][]byte {
+	t.Helper()
 	dst := make([]byte, c.cfg.LineBytes)
-	if _, err := c.ReadInto(0, addr, dst, nil); err != nil { // publish + warm
-		t.Fatal(err)
+	datas := make([][]byte, len(addrs))
+	for i, addr := range addrs {
+		datas[i] = bytes.Repeat([]byte{byte(0x10 + i)}, c.cfg.LineBytes)
+		if _, err := c.Write(0, addr, datas[i], nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	c.mu.Lock()
-	c.bumpGen()
-	c.mu.Unlock()
+	return datas
+}
+
+// expectFastRead reads addr and requires exactly one seqlock read, no
+// fallback, and the expected data.
+func expectFastRead(t *testing.T, c *STTRAM, what string, addr uint64, want []byte) {
+	t.Helper()
+	dst := make([]byte, c.cfg.LineBytes)
 	before := c.Stats()
 	if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(dst, data) {
-		t.Fatal("wrong data after generation bump")
+	if !bytes.Equal(dst, want) {
+		t.Fatalf("%s: wrong data", what)
 	}
 	after := c.Stats()
-	if after.SeqlockFallbacks-before.SeqlockFallbacks != 1 {
-		t.Fatalf("stale-generation read: fallback delta = %d, want 1", after.SeqlockFallbacks-before.SeqlockFallbacks)
+	if got := after.SeqlockReads - before.SeqlockReads; got != 1 {
+		t.Fatalf("%s: SeqlockReads delta = %d, want 1", what, got)
 	}
-	// The locked fallback restamped the mirror's generation.
-	if _, err := c.ReadInto(0, addr, dst, nil); err != nil {
+	if got := after.SeqlockFallbacks - before.SeqlockFallbacks; got != 0 {
+		t.Fatalf("%s: SeqlockFallbacks delta = %d, want 0", what, got)
+	}
+}
+
+// TestSeqlockGroupRepairResyncsTouchedLines checks exact invalidation
+// around a group repair: the repair's view turns every member it hands
+// out odd, and the repair's caller resyncs them, so once the faulty
+// line's read returns, a clean member of the repaired group reads on
+// the fast path again — and a line outside every repaired group never
+// left it.
+func TestSeqlockGroupRepairResyncsTouchedLines(t *testing.T) {
+	c, _ := mustCache(t, testConfig(core.ProtectionZ))
+	// testConfig: 2048 sets × 8 ways, GroupSize 64, so on a fresh cache
+	// the line at addr i*64 lands in phys 8i. A (phys 0) and B (phys 8)
+	// share Hash-1 group 0; C (phys 520) is in Hash-1 group 8 and
+	// Hash-2 group 8, outside every group A's repair can reach.
+	const addrA, addrB, addrC = 0, 64, 65 * 64
+	datas := writeAndWarm(t, c, addrA, addrB, addrC)
+	physOf := func(addr uint64) int {
+		set := c.setIndex(addr)
+		return c.physIndex(set, c.lookup(set, c.tagOf(addr)))
+	}
+	pa, pb, pc := physOf(addrA), physOf(addrB), physOf(addrC)
+	if c.params.Hash1Of(pb) != c.params.Hash1Of(pa) ||
+		c.params.Hash1Of(pc) == c.params.Hash1Of(pa) || c.params.Hash2Of(pc) == c.params.Hash2Of(pa) {
+		t.Fatalf("fixture: phys A=%d B=%d C=%d do not split across groups as intended", pa, pb, pc)
+	}
+	// Two flips defeat ECC-1: A's read needs the group repair (RAID-4
+	// reconstruction in Hash-1 group 0).
+	for _, bit := range []int{10, 20} {
+		if err := c.InjectFault(addrA, bit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.Stats()
+	dst := make([]byte, c.cfg.LineBytes)
+	if _, err := c.ReadInto(0, addrA, dst, nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().SeqlockReads != after.SeqlockReads+1 {
-		t.Fatal("mirror did not resync after generation bump")
+	if !bytes.Equal(dst, datas[0]) {
+		t.Fatal("wrong data after group repair")
 	}
+	if got := c.Stats().RAIDRepairs - before.RAIDRepairs; got != 1 {
+		t.Fatalf("RAIDRepairs delta = %d, want 1 (the group repair did not run)", got)
+	}
+	expectFastRead(t, c, "repaired-group member B", addrB, datas[1])
+	expectFastRead(t, c, "outside line C", addrC, datas[2])
+	expectFastRead(t, c, "repaired line A", addrA, datas[0])
+}
+
+// TestSeqlockScrubRepairKeepsOtherMirrors is the scrub-pass side of
+// exact invalidation: a pass that repairs one line resyncs that line
+// and leaves every other mirror untouched.
+func TestSeqlockScrubRepairKeepsOtherMirrors(t *testing.T) {
+	c, _ := mustCache(t, testConfig(core.ProtectionZ))
+	const addrA, addrB = 0, 64
+	datas := writeAndWarm(t, c, addrA, addrB)
+	if err := c.InjectFault(addrA, 7); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SingleRepairs != 1 {
+		t.Fatalf("scrub SingleRepairs = %d, want 1", rep.SingleRepairs)
+	}
+	expectFastRead(t, c, "scrub-repaired line A", addrA, datas[0])
+	expectFastRead(t, c, "untouched line B", addrB, datas[1])
 }

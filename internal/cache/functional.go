@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
-	"sudoku/internal/bitvec"
 	"sudoku/internal/core"
 	"sudoku/internal/ras"
 	"sudoku/internal/reqtrace"
@@ -115,7 +115,7 @@ func (c *STTRAM) readIntoLocked(now time.Duration, addr uint64, dst []byte, tr *
 		return lat + recLat, rerr
 	}
 	// Republish the mirror: a locked read is where a mirror left odd by
-	// a repair — or stale by a generation bump — lazily comes back.
+	// a repair, a fault injection or an error exit lazily comes back.
 	c.syncLine(c.physIndex(set, w))
 	return lat, nil
 }
@@ -129,7 +129,7 @@ func (c *STTRAM) readIntoLocked(now time.Duration, addr uint64, dst []byte, tr *
 // c.mu; the returned latency is added to the access's.
 func (c *STTRAM) recoverReadDUE(now time.Duration, set, w int, addr uint64, dst []byte, tr *reqtrace.Trace) (time.Duration, error) {
 	phys := c.physIndex(set, w)
-	if c.sets[set][w].dirty {
+	if c.ways[phys].dirty {
 		c.stats.dueDataLoss.Add(1)
 		tr.Note(reqtrace.KindDUEDataLoss, uint64(phys), 0)
 		c.emit(ras.KindDUEDataLoss, phys, c.lineAddr(addr), "dirty line discarded")
@@ -143,7 +143,7 @@ func (c *STTRAM) recoverReadDUE(now time.Duration, set, w int, addr uint64, dst 
 	memLat := c.mem.Access(now, c.lineAddr(addr), false)
 	line := c.backing[c.lineAddr(addr)]
 	if line == nil {
-		line = make([]byte, c.cfg.LineBytes)
+		line = c.zeroLine
 	}
 	if err := c.reloadLine(phys, line); err != nil {
 		return memLat, err
@@ -180,16 +180,14 @@ func (c *STTRAM) reloadLine(phys int, data []byte) error {
 		copy(c.spareData[sp], data)
 		return nil
 	}
-	stored, err := c.lineVec(phys)
-	if err != nil {
-		return err
-	}
+	c.invalidateMirror(phys)
 	if err := c.scr.data.SetBytes(data); err != nil {
 		return err
 	}
 	if err := c.codec.EncodeInto(c.scr.data, c.scr.newStored); err != nil {
 		return err
 	}
+	stored := c.lineView(phys)
 	if err := stored.CopyFrom(c.scr.newStored); err != nil {
 		return err
 	}
@@ -212,8 +210,8 @@ func (c *STTRAM) discardLine(set, w int) error {
 	phys := c.physIndex(set, w)
 	c.invalidateMirror(phys)
 	c.setWay(set, w, 0, false, false, 0)
-	if stored := c.stored[phys]; stored != nil {
-		stored.Zero()
+	if c.isLive(phys) {
+		clear(c.row(phys))
 	}
 	if err := c.rebuildParities(phys); err != nil {
 		return err
@@ -268,8 +266,8 @@ func (c *STTRAM) writeLocked(now time.Duration, addr uint64, data []byte, tr *re
 		}
 		c.hist.writeMiss.ObserveNs(int64(lat))
 	}
-	c.sets[set][w].dirty = true
 	phys := c.physIndex(set, w)
+	c.ways[phys].dirty = true
 	if err := c.writeLine(phys, data, tr); err != nil {
 		return lat, err
 	}
@@ -283,11 +281,11 @@ func (c *STTRAM) writeLocked(now time.Duration, addr uint64, data []byte, tr *re
 // propagated).
 func (c *STTRAM) fill(now time.Duration, set int, addr uint64, forWrite bool, tr *reqtrace.Trace) (int, time.Duration, error) {
 	v := c.victim(set)
-	entry := &c.sets[set][v]
+	entry := &c.ways[c.physIndex(set, v)]
 	if entry.valid {
 		c.stats.evictions.Add(1)
 		phys := c.physIndex(set, v)
-		victimAddr := (entry.tag*uint64(len(c.sets)) + uint64(set)) * uint64(c.cfg.LineBytes)
+		victimAddr := (entry.tag*uint64(c.numSets) + uint64(set)) * uint64(c.cfg.LineBytes)
 		if entry.dirty {
 			c.stats.writeBacks.Add(1)
 			_ = c.mem.Access(now, victimAddr, true)
@@ -311,7 +309,7 @@ func (c *STTRAM) fill(now time.Duration, set int, addr uint64, forWrite bool, tr
 	phys := c.physIndex(set, v)
 	line := c.backing[c.lineAddr(addr)]
 	if line == nil {
-		line = make([]byte, c.cfg.LineBytes)
+		line = c.zeroLine
 	}
 	// Fill overwrites the physical cells; parity follows via the
 	// standard delta update (or a rebuild, if the slot's residue was
@@ -347,24 +345,19 @@ func (c *STTRAM) readLineInto(phys int, dst []byte, tr *reqtrace.Trace) error {
 		return nil
 	}
 	if c.cfg.Protection == 0 {
-		// Unprotected caches store raw lines in stored[phys] as
-		// codeword-less vectors; empty means zeros.
-		if c.stored[phys] == nil {
-			for i := range dst {
-				dst[i] = 0
-			}
+		// Unprotected caches store raw payload words in the arena rows;
+		// an unwritten line reads as zeros.
+		if !c.isLive(phys) {
+			clear(dst)
 			return nil
 		}
-		for w := 0; w < c.cfg.LineBytes/8; w++ {
-			binary.LittleEndian.PutUint64(dst[8*w:], c.stored[phys].Word(w))
+		for w, word := range c.row(phys) {
+			binary.LittleEndian.PutUint64(dst[8*w:], word)
 		}
 		return nil
 	}
-	stored, err := c.lineVec(phys)
-	if err != nil {
-		return err
-	}
-	ok, err := c.codec.Check(stored)
+	stored := c.lineView(phys)
+	ok, err := c.codec.Check(&stored)
 	if err != nil {
 		return err
 	}
@@ -395,23 +388,20 @@ func (c *STTRAM) writeLine(phys int, data []byte, tr *reqtrace.Trace) error {
 		return nil
 	}
 	if c.cfg.Protection == 0 {
-		if v := c.stored[phys]; v != nil && v.Len() == 8*len(data) {
-			return v.SetBytes(data)
+		row := c.row(phys)
+		for w := range row {
+			row[w] = binary.LittleEndian.Uint64(data[8*w:])
 		}
-		c.stored[phys] = bitvec.FromBytes(data)
 		return nil
 	}
-	stored, err := c.lineVec(phys)
-	if err != nil {
-		return err
-	}
+	stored := c.lineView(phys)
 	// Mirror goes odd for the whole rewrite: concurrent fast readers
 	// fall back (and serialize behind c.mu), and an error on any exit
 	// below leaves the mirror invalid rather than stale. syncLine
 	// republishes on each success path.
 	c.invalidateMirror(phys)
 	rebuild := false
-	if ok, err := c.codec.Check(stored); err != nil {
+	if ok, err := c.codec.Check(&stored); err != nil {
 		return err
 	} else if !ok {
 		c.stats.crcDetects.Add(1)
@@ -436,7 +426,7 @@ func (c *STTRAM) writeLine(phys int, data []byte, tr *reqtrace.Trace) error {
 	if err := c.codec.EncodeInto(c.scr.data, c.scr.newStored); err != nil {
 		return err
 	}
-	if err := c.scr.delta.CopyFrom(stored); err != nil {
+	if err := c.scr.delta.CopyFrom(&stored); err != nil {
 		return err
 	}
 	if err := c.scr.delta.XorInto(c.scr.newStored); err != nil {
@@ -488,15 +478,12 @@ func (c *STTRAM) writeLine(phys int, data []byte, tr *reqtrace.Trace) error {
 // ECC-1, then (for multi-bit faults) the group repair at the
 // configured protection level.
 func (c *STTRAM) repairLine(phys int, tr *reqtrace.Trace) error {
-	stored, err := c.lineVec(phys)
-	if err != nil {
-		return err
-	}
+	stored := c.lineView(phys)
 	// The repair rewrites stored in place; the mirror goes odd first so
 	// the caller's eventual syncLine (or a later locked read) is the
 	// only way it comes back.
 	c.invalidateMirror(phys)
-	st, err := c.codec.Repair(stored)
+	st, err := c.codec.Repair(&stored)
 	if err != nil {
 		return err
 	}
@@ -517,11 +504,11 @@ func (c *STTRAM) repairLine(phys int, tr *reqtrace.Trace) error {
 		tr.Note(reqtrace.KindQuarantine, uint64(phys), 0)
 		return fmt.Errorf("%w: line %d (region quarantined)", ErrUncorrectable, phys)
 	}
-	report, err := c.zeng.RepairHash1Group(&cacheView{c}, c.params.Hash1Of(phys))
-	// The group repair (and its Hash-2 retries) can rewrite an
-	// unenumerable set of member lines: invalidate every mirror at once
-	// via the generation, even on error.
-	c.bumpGen()
+	// The group repair (and its Hash-2 retries) may rewrite any line
+	// its view handed out; those lines are odd until the resync below,
+	// and stay odd on an error exit.
+	c.rewritten = c.rewritten[:0]
+	report, err := c.repairGroup(c.params.Hash1Of(phys))
 	if err != nil {
 		return err
 	}
@@ -556,6 +543,7 @@ func (c *STTRAM) repairLine(phys int, tr *reqtrace.Trace) error {
 			return err
 		}
 	}
+	c.resyncRewritten(phys)
 	for _, addr := range report.Unrepaired {
 		if addr == phys {
 			c.stats.uncorrectableDUEs.Add(1)
@@ -601,29 +589,25 @@ func (c *STTRAM) emitGroupRepair(group int, report core.ZReport) {
 // line directly from stored contents — the recovery action after a
 // write to a line whose previous content was lost to a DUE.
 func (c *STTRAM) rebuildParities(phys int) error {
-	for hash, plt := range map[int]*core.PLT{1: c.plt1, 2: c.plt2} {
-		var group int
-		var members []int
-		if hash == 1 {
-			group = c.params.Hash1Of(phys)
-			members = c.params.Hash1Members(group)
-		} else {
-			group = c.params.Hash2Of(phys)
-			members = c.params.Hash2Members(group)
-		}
-		par, err := plt.Parity(group)
-		if err != nil {
+	g1, g2 := c.params.Hash1Of(phys), c.params.Hash2Of(phys)
+	if err := c.rebuildParity(c.plt1, g1, c.params.Hash1Members(g1)); err != nil {
+		return err
+	}
+	return c.rebuildParity(c.plt2, g2, c.params.Hash2Members(g2))
+}
+
+// rebuildParity recomputes one parity line as the XOR of its group's
+// member codewords.
+func (c *STTRAM) rebuildParity(plt *core.PLT, group int, members []int) error {
+	par, err := plt.Parity(group)
+	if err != nil {
+		return err
+	}
+	par.Zero()
+	for _, m := range members {
+		ln := c.lineView(m)
+		if err := par.XorInto(&ln); err != nil {
 			return err
-		}
-		par.Zero()
-		for _, m := range members {
-			ln, err := c.lineVec(m)
-			if err != nil {
-				return err
-			}
-			if err := par.XorInto(ln); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -651,11 +635,13 @@ func (c *STTRAM) InjectStuckAt(addr uint64, bit int, value bool) error {
 	if _, ok := c.retired[phys]; ok {
 		return nil // hardened spare rows absorb faults
 	}
-	stored, err := c.lineVec(phys)
-	if err != nil {
-		return err
-	}
-	if bit < 0 || bit >= stored.Len() {
+	return c.stickCell(phys, bit, value)
+}
+
+// stickCell records a permanent fault and forces the cell to its stuck
+// value. Callers hold c.mu.
+func (c *STTRAM) stickCell(phys, bit int, value bool) error {
+	if bit < 0 || bit >= c.lineBits {
 		return fmt.Errorf("cache: stuck bit %d out of range", bit)
 	}
 	if c.stuck[phys] == nil {
@@ -664,6 +650,7 @@ func (c *STTRAM) InjectStuckAt(addr uint64, bit int, value bool) error {
 	c.stuck[phys][bit] = value
 	c.stats.faultsInjected.Add(1)
 	c.invalidateMirror(phys)
+	stored := c.lineView(phys)
 	return stored.SetTo(bit, value)
 }
 
@@ -672,25 +659,26 @@ func (c *STTRAM) StuckCells() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for _, bits := range c.stuck {
-		n += len(bits)
+	for _, cells := range c.stuck {
+		n += len(cells)
 	}
 	return n
 }
 
 // reapplyStuck forces a line's permanently faulty cells back to their
 // stuck values after a repair or write has (logically) rewritten the
-// array.
+// array. A cell that actually changes invalidates the line's mirror.
 func (c *STTRAM) reapplyStuck(phys int) error {
-	bits := c.stuck[phys]
-	if len(bits) == 0 {
+	cells := c.stuck[phys]
+	if len(cells) == 0 {
 		return nil
 	}
-	stored, err := c.lineVec(phys)
-	if err != nil {
-		return err
-	}
-	for bit, val := range bits {
+	stored := c.lineView(phys)
+	for bit, val := range cells {
+		if stored.Bit(bit) == val {
+			continue
+		}
+		c.invalidateMirror(phys)
 		if err := stored.SetTo(bit, val); err != nil {
 			return err
 		}
@@ -716,16 +704,19 @@ func (c *STTRAM) InjectFault(addr uint64, bit int) error {
 	if _, ok := c.retired[phys]; ok {
 		return nil // hardened spare rows absorb faults
 	}
-	stored, err := c.lineVec(phys)
-	if err != nil {
-		return err
-	}
-	c.invalidateMirror(phys)
-	if err := stored.Flip(bit); err != nil {
+	if err := c.flipCell(phys, bit); err != nil {
 		return err
 	}
 	c.stats.faultsInjected.Add(1)
 	return nil
+}
+
+// flipCell flips one stored bit of a physical line, invalidating its
+// mirror. Callers hold c.mu.
+func (c *STTRAM) flipCell(phys, bit int) error {
+	stored := c.lineView(phys)
+	c.invalidateMirror(phys)
+	return stored.Flip(bit)
 }
 
 // InjectRandomFaults scatters n random bit flips uniformly over the
@@ -743,12 +734,7 @@ func (c *STTRAM) InjectRandomFaults(r *rng.Source, n int) error {
 		if _, ok := c.retired[pos/lineBits]; ok {
 			continue // hardened spare rows absorb faults
 		}
-		stored, err := c.lineVec(pos / lineBits)
-		if err != nil {
-			return err
-		}
-		c.invalidateMirror(pos / lineBits)
-		if err := stored.Flip(pos % lineBits); err != nil {
+		if err := c.flipCell(pos/lineBits, pos%lineBits); err != nil {
 			return err
 		}
 		landed++
@@ -790,13 +776,7 @@ func (c *STTRAM) InjectFaultsAt(positions []int) (int, error) {
 		if _, ok := c.retired[pos/lineBits]; ok {
 			continue // hardened spare rows absorb faults
 		}
-		stored, err := c.lineVec(pos / lineBits)
-		if err != nil {
-			c.stats.faultsInjected.Add(int64(landed))
-			return landed, err
-		}
-		c.invalidateMirror(pos / lineBits)
-		if err := stored.Flip(pos % lineBits); err != nil {
+		if err := c.flipCell(pos/lineBits, pos%lineBits); err != nil {
 			c.stats.faultsInjected.Add(int64(landed))
 			return landed, err
 		}
@@ -821,20 +801,7 @@ func (c *STTRAM) InjectStuckAtPhys(phys, bit int, value bool) error {
 	if _, ok := c.retired[phys]; ok {
 		return nil // hardened spare rows absorb faults
 	}
-	stored, err := c.lineVec(phys)
-	if err != nil {
-		return err
-	}
-	if bit < 0 || bit >= stored.Len() {
-		return fmt.Errorf("cache: stuck bit %d out of range", bit)
-	}
-	if c.stuck[phys] == nil {
-		c.stuck[phys] = make(map[int]bool)
-	}
-	c.stuck[phys][bit] = value
-	c.stats.faultsInjected.Add(1)
-	c.invalidateMirror(phys)
-	return stored.SetTo(bit, value)
+	return c.stickCell(phys, bit, value)
 }
 
 // ScrubRegion scrubs the member lines of one Hash-1 group out of band —
@@ -866,17 +833,17 @@ func (c *STTRAM) ScrubRegion(group int) (ScrubReport, error) {
 		return rep, nil
 	}
 	needGroup := false
-	mutated := false
 	var singles []int
+	c.rewritten = c.rewritten[:0]
 	for _, phys := range members {
-		stored := c.stored[phys]
-		if stored == nil {
+		if !c.isLive(phys) {
 			continue
 		}
 		if _, ok := c.retired[phys]; ok {
 			continue
 		}
 		rep.LinesChecked++
+		stored := c.probeView(phys)
 		ok, err := c.codec.Validate(stored)
 		if err != nil {
 			return rep, err
@@ -885,9 +852,9 @@ func (c *STTRAM) ScrubRegion(group int) (ScrubReport, error) {
 			continue
 		}
 		c.stats.crcDetects.Add(1)
-		// codec.Scrub rewrites stored in place; one generation bump at
-		// the end (below) invalidates every mirror this pass touched.
-		mutated = true
+		// codec.Scrub rewrites the line in place: its mirror stays odd
+		// until the resync at the end of the pass.
+		c.noteRewrite(phys)
 		st, err := c.codec.Scrub(stored)
 		if err != nil {
 			return rep, err
@@ -901,12 +868,8 @@ func (c *STTRAM) ScrubRegion(group int) (ScrubReport, error) {
 			singles = append(singles, phys)
 		}
 	}
-	if mutated {
-		c.bumpGen()
-	}
 	if needGroup {
-		report, err := c.zeng.RepairHash1Group(&cacheView{c}, group)
-		c.bumpGen()
+		report, err := c.repairGroup(group)
 		if err != nil {
 			return rep, err
 		}
@@ -916,14 +879,8 @@ func (c *STTRAM) ScrubRegion(group int) (ScrubReport, error) {
 		rep.Hash2Repairs += report.Hash2Repairs
 		c.emitGroupRepair(group, report)
 	}
-	for _, phys := range singles {
-		ok, err := c.codec.Check(c.stored[phys])
-		if err != nil {
-			return rep, err
-		}
-		if !ok {
-			rep.DUELines = append(rep.DUELines, phys)
-		}
+	if err := c.collectDUEs(singles, &rep); err != nil {
+		return rep, err
 	}
 	c.stats.uncorrectableDUEs.Add(int64(len(rep.DUELines)))
 	c.stats.singleRepairs.Add(int64(rep.SingleRepairs))
@@ -933,12 +890,38 @@ func (c *STTRAM) ScrubRegion(group int) (ScrubReport, error) {
 	c.stats.targetedScrubs.Add(1)
 	// A Hash-2 retry can rewrite lines outside this group, so permanent
 	// faults reassert cache-wide, exactly as after a full pass.
-	for phys := range c.stuck {
-		if err := c.reapplyStuck(phys); err != nil {
-			return rep, err
+	if err := c.reapplyAllStuck(); err != nil {
+		return rep, err
+	}
+	c.resyncRewritten(-1)
+	return rep, nil
+}
+
+// collectDUEs appends to rep.DUELines every line of singles (lines the
+// per-line scrub could not repair) that still fails its CRC check after
+// the group repairs.
+func (c *STTRAM) collectDUEs(singles []int, rep *ScrubReport) error {
+	for _, phys := range singles {
+		stored := c.lineView(phys)
+		ok, err := c.codec.Check(&stored)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			rep.DUELines = append(rep.DUELines, phys)
 		}
 	}
-	return rep, nil
+	return nil
+}
+
+// reapplyAllStuck reasserts every permanent fault in the cache.
+func (c *STTRAM) reapplyAllStuck() error {
+	for phys := range c.stuck {
+		if err := c.reapplyStuck(phys); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Scrub performs one full scrub pass (§II-D): every materialized line
@@ -955,53 +938,50 @@ func (c *STTRAM) Scrub() (ScrubReport, error) {
 	defer c.mu.Unlock()
 	start := time.Now()
 	var rep ScrubReport
-	// mutated tracks whether the pass rewrote any stored codeword; a
-	// clean pass (the steady state) then skips the generation bump and
-	// leaves every mirror valid.
-	mutated := false
 	// Allocated lazily: a clean pass (the steady-state common case)
 	// never touches the heap.
 	var groups map[int]struct{}
 	var singles []int
-	for phys, stored := range c.stored {
-		if stored == nil {
-			continue
-		}
-		if _, ok := c.retired[phys]; ok {
-			continue // abandoned array cells; the spare row serves reads
-		}
-		if len(c.quarantined) > 0 && c.quarantined[c.params.Hash1Of(phys)] {
-			rep.QuarantineSkipped++
-			continue
-		}
-		rep.LinesChecked++
-		ok, err := c.codec.Validate(stored)
-		if err != nil {
-			return rep, err
-		}
-		if ok {
-			continue
-		}
-		c.stats.crcDetects.Add(1)
-		mutated = true
-		st, err := c.codec.Scrub(stored)
-		if err != nil {
-			return rep, err
-		}
-		switch st {
-		case core.StatusCorrected:
-			rep.SingleRepairs++
-			c.noteCE(phys)
-		case core.StatusUncorrectable:
-			if groups == nil {
-				groups = make(map[int]struct{})
+	c.rewritten = c.rewritten[:0]
+	// Walk the materialized lines in ascending order, one bitmap word
+	// at a time.
+	for wi, word := range c.live {
+		for ; word != 0; word &= word - 1 {
+			phys := wi*64 + bits.TrailingZeros64(word)
+			if _, ok := c.retired[phys]; ok {
+				continue // abandoned array cells; the spare row serves reads
 			}
-			groups[c.params.Hash1Of(phys)] = struct{}{}
-			singles = append(singles, phys)
+			if len(c.quarantined) > 0 && c.quarantined[c.params.Hash1Of(phys)] {
+				rep.QuarantineSkipped++
+				continue
+			}
+			rep.LinesChecked++
+			stored := c.probeView(phys)
+			ok, err := c.codec.Validate(stored)
+			if err != nil {
+				return rep, err
+			}
+			if ok {
+				continue
+			}
+			c.stats.crcDetects.Add(1)
+			c.noteRewrite(phys)
+			st, err := c.codec.Scrub(stored)
+			if err != nil {
+				return rep, err
+			}
+			switch st {
+			case core.StatusCorrected:
+				rep.SingleRepairs++
+				c.noteCE(phys)
+			case core.StatusUncorrectable:
+				if groups == nil {
+					groups = make(map[int]struct{})
+				}
+				groups[c.params.Hash1Of(phys)] = struct{}{}
+				singles = append(singles, phys)
+			}
 		}
-	}
-	if mutated {
-		c.bumpGen()
 	}
 	// Repair groups in ascending order: a Hash-2 retry can rewrite lines
 	// outside the group under repair, so map-iteration order would make
@@ -1012,7 +992,7 @@ func (c *STTRAM) Scrub() (ScrubReport, error) {
 	}
 	sort.Ints(groupList)
 	for _, g := range groupList {
-		report, err := c.zeng.RepairHash1Group(&cacheView{c}, g)
+		report, err := c.repairGroup(g)
 		if err != nil {
 			return rep, err
 		}
@@ -1022,14 +1002,8 @@ func (c *STTRAM) Scrub() (ScrubReport, error) {
 		rep.Hash2Repairs += report.Hash2Repairs
 		c.emitGroupRepair(g, report)
 	}
-	for _, phys := range singles {
-		ok, err := c.codec.Check(c.stored[phys])
-		if err != nil {
-			return rep, err
-		}
-		if !ok {
-			rep.DUELines = append(rep.DUELines, phys)
-		}
+	if err := c.collectDUEs(singles, &rep); err != nil {
+		return rep, err
 	}
 	c.stats.uncorrectableDUEs.Add(int64(len(rep.DUELines)))
 	c.stats.singleRepairs.Add(int64(rep.SingleRepairs))
@@ -1038,12 +1012,12 @@ func (c *STTRAM) Scrub() (ScrubReport, error) {
 	c.stats.hash2Repairs.Add(int64(rep.Hash2Repairs))
 	c.stats.scrubPasses.Add(1)
 	// Permanent faults reassert themselves the moment the scrub
-	// write-back completes.
-	for phys := range c.stuck {
-		if err := c.reapplyStuck(phys); err != nil {
-			return rep, err
-		}
+	// write-back completes; only then do the rewritten lines' mirrors
+	// match their rows again.
+	if err := c.reapplyAllStuck(); err != nil {
+		return rep, err
 	}
+	c.resyncRewritten(-1)
 	// Serviceability phases: retire chronic lines whose leaky bucket
 	// tripped, drain the buckets, and audit the parity tables.
 	if c.cfg.RetireCEThreshold > 0 {
@@ -1126,16 +1100,18 @@ func (c *STTRAM) retire(phys int) (bool, error) {
 		c.emit(ras.KindSpareExhausted, phys, ras.NoAddr, "spare pool empty; line stays in service")
 		return false, nil
 	}
-	stored := c.stored[phys]
-	if stored == nil {
+	if !c.isLive(phys) {
 		return false, nil
 	}
+	stored := c.lineView(phys)
 	// The chronic line typically arrives here with its permanent fault
 	// freshly reasserted; per-line repair recovers the intended content
 	// for the move. A multi-bit residue (a DUE in flight) defers the
 	// retirement to a later pass, after the read path has recovered or
-	// discarded the line.
-	if st, err := c.codec.Scrub(stored); err != nil {
+	// discarded the line. Either way the row may be rewritten, so the
+	// mirror goes odd first (the next locked read resyncs a deferral).
+	c.invalidateMirror(phys)
+	if st, err := c.codec.Scrub(&stored); err != nil {
 		return false, err
 	} else if st == core.StatusUncorrectable {
 		return false, nil
@@ -1148,9 +1124,9 @@ func (c *STTRAM) retire(phys int) (bool, error) {
 	c.spareUsed++
 	c.spareData[sp] = payload
 	delete(c.stuck, phys)
-	// Retired lines keep a permanently odd mirror: the spare-row remap
-	// is locked-path-only state (syncLine refuses retired lines too).
-	c.invalidateMirror(phys)
+	// Retired lines keep a permanently odd mirror (made odd above): the
+	// spare-row remap is locked-path-only state (syncLine refuses
+	// retired lines too).
 	stored.Zero()
 	if err := c.rebuildParities(phys); err != nil {
 		return false, err
@@ -1190,11 +1166,12 @@ func (c *STTRAM) auditGroup(g int) (bool, error) {
 	acc.Zero()
 	empty := true
 	for _, m := range c.params.Hash1Members(g) {
-		if c.stored[m] == nil {
+		if !c.isLive(m) {
 			continue // lazy zero codeword contributes nothing
 		}
 		empty = false
-		if err := acc.XorInto(c.stored[m]); err != nil {
+		ln := c.lineView(m)
+		if err := acc.XorInto(&ln); err != nil {
 			return false, err
 		}
 	}
@@ -1212,10 +1189,11 @@ func (c *STTRAM) auditGroup(g int) (bool, error) {
 	// including stuck cells' persistent deviation) from a bad parity
 	// line.
 	for _, m := range c.params.Hash1Members(g) {
-		if c.stored[m] == nil {
+		if !c.isLive(m) {
 			continue
 		}
-		if ok, err := c.codec.Check(c.stored[m]); err != nil {
+		ln := c.lineView(m)
+		if ok, err := c.codec.Check(&ln); err != nil {
 			return false, err
 		} else if !ok {
 			return false, nil
@@ -1262,15 +1240,24 @@ func (c *STTRAM) RebuildQuarantined() (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
+	c.rewritten = c.rewritten[:0]
 	for g := range c.quarantined {
 		members := c.params.Hash1Members(g)
 		// Repair what per-line ECC can reach so the rebuilt parity
-		// tracks intended contents, not accumulated faults.
+		// tracks intended contents, not accumulated faults. A line that
+		// validates needs no scrub; one that does not is rewritten.
 		for _, m := range members {
-			if c.stored[m] == nil {
+			if !c.isLive(m) {
 				continue
 			}
-			if _, err := c.codec.Scrub(c.stored[m]); err != nil {
+			stored := c.probeView(m)
+			if ok, err := c.codec.Validate(stored); err != nil {
+				return n, err
+			} else if ok {
+				continue
+			}
+			c.noteRewrite(m)
+			if _, err := c.codec.Scrub(stored); err != nil {
 				return n, err
 			}
 		}
@@ -1280,10 +1267,11 @@ func (c *STTRAM) RebuildQuarantined() (int, error) {
 		}
 		par.Zero()
 		for _, m := range members {
-			if c.stored[m] == nil {
+			if !c.isLive(m) {
 				continue
 			}
-			if err := par.XorInto(c.stored[m]); err != nil {
+			ln := c.lineView(m)
+			if err := par.XorInto(&ln); err != nil {
 				return n, err
 			}
 		}
@@ -1296,10 +1284,7 @@ func (c *STTRAM) RebuildQuarantined() (int, error) {
 		n++
 		c.emit(ras.KindRegionRebuilt, ras.NoLine, ras.NoAddr, fmt.Sprintf("hash1 group %d: parity recomputed", g))
 	}
-	if n > 0 {
-		// The per-line repair passes above rewrote member codewords.
-		c.bumpGen()
-	}
+	c.resyncRewritten(-1)
 	return n, nil
 }
 

@@ -152,9 +152,6 @@ func (c *STTRAM) ImportPersist(st persist.ShardState) (int, error) {
 	c.decayTick = st.DecayTick
 	c.auditTick = st.AuditTick
 	applyPersistCounters(&c.stats, st.Counters)
-	// The restore changed line identities wholesale; force every
-	// fast-path reader back through the locked path once.
-	c.bumpGen()
 	return len(st.Retired), nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"sudoku/internal/bitvec"
 	"sudoku/internal/core"
 	"sudoku/internal/ras"
 )
@@ -185,10 +184,14 @@ func TestWriteOverDUEEmitsOverwrittenEvent(t *testing.T) {
 // vanishing.
 func TestFillWriteLineErrorPropagates(t *testing.T) {
 	c, trap := trapCache(t, testConfig(core.ProtectionZ))
-	// Corrupt the substrate: phys 0 (set 0, way 0 — the first victim)
-	// holds a wrong-geometry vector, so the fill's writeLine must fail.
-	c.stored[0] = bitvec.New(1)
-	_, _, err := c.Read(0, 0)
+	// Corrupt the substrate: a Hash-1 parity table of the wrong width
+	// rejects the fill's parity delta, so its writeLine must fail.
+	bad, err := core.NewPLT(c.params.NumGroups(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.plt1 = bad
+	_, _, err = c.Read(0, 0)
 	if err == nil {
 		t.Fatal("fill over corrupt substrate succeeded")
 	}
@@ -199,7 +202,7 @@ func TestFillWriteLineErrorPropagates(t *testing.T) {
 		t.Fatal("no writeline-error event")
 	}
 	// The slot must not claim to hold the line.
-	if w := c.lookup(0, 0); w >= 0 && c.sets[0][w].valid {
+	if w := c.lookup(0, 0); w >= 0 && c.ways[c.physIndex(0, w)].valid {
 		t.Fatal("failed fill left a valid way")
 	}
 }

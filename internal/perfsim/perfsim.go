@@ -142,10 +142,12 @@ func (i interference) sample() float64 {
 	return extra
 }
 
-// runMode simulates one mode of one workload and returns the execution
-// time plus the cache stats.
-func runMode(cfg Config, perCore []trace.Profile, protected bool) (time.Duration, cache.Stats, error) {
-	ccfg := cfg.Cache
+// llcConfig is the cache configuration of one simulated mode. The
+// simulator only calls AccessTiming, which never reads line contents,
+// so it turns the seqlock read path off: the cache then builds no
+// mirror arrays, and with no functional access it never allocates its
+// codeword arena either.
+func llcConfig(ccfg cache.Config, protected bool) cache.Config {
 	if protected {
 		if ccfg.Protection == 0 {
 			ccfg.Protection = core.ProtectionZ
@@ -154,11 +156,18 @@ func runMode(cfg Config, perCore []trace.Profile, protected bool) (time.Duration
 		ccfg.Protection = 0
 		ccfg.CRCCheckCycles = 0
 	}
+	ccfg.DisableFastReads = true
+	return ccfg
+}
+
+// runMode simulates one mode of one workload and returns the execution
+// time plus the cache stats.
+func runMode(cfg Config, perCore []trace.Profile, protected bool) (time.Duration, cache.Stats, error) {
 	mem, err := dram.New(cfg.DRAM)
 	if err != nil {
 		return 0, cache.Stats{}, err
 	}
-	llc, err := cache.New(ccfg, mem)
+	llc, err := cache.New(llcConfig(cfg.Cache, protected), mem)
 	if err != nil {
 		return 0, cache.Stats{}, err
 	}

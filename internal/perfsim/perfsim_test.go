@@ -202,3 +202,15 @@ func TestSummarizeBySuite(t *testing.T) {
 		t.Fatal("empty input should give empty summary")
 	}
 }
+
+// TestTimingOnlyCacheHasNoLineStore: both simulated modes build their
+// cache with the seqlock read path off, so a timing-only run allocates
+// no mirror arrays (and, never writing a line, no codeword arena — the
+// cache package's TestTimingOnlyAllocatesNoArena covers that half).
+func TestTimingOnlyCacheHasNoLineStore(t *testing.T) {
+	for _, protected := range []bool{true, false} {
+		if !llcConfig(DefaultConfig().Cache, protected).DisableFastReads {
+			t.Fatalf("protected=%v: simulator cache keeps the seqlock read path", protected)
+		}
+	}
+}

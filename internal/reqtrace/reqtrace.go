@@ -73,7 +73,7 @@ const (
 // Seqlock fallback reasons, carried in a KindSeqlockFallback Code.
 const (
 	SeqlockNoMirror = 1 // line has no published mirror
-	SeqlockSeqOdd   = 2 // writer active or stale generation
+	SeqlockSeqOdd   = 2 // writer active or mirror invalidated
 	SeqlockTorn     = 3 // CRC-flagged or torn snapshot
 	SeqlockRecheck  = 4 // seq/tag recheck failed (recycled slot)
 )
