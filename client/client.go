@@ -1,7 +1,7 @@
 // Package client is the Go client for sudoku-cached: it speaks the
-// length-prefixed frame protocol (internal/server/wire) over
-// cleartext HTTP/2, multiplexing every request and event stream of one
-// process over a single connection. The stress swarm drives its load
+// length-prefixed frame protocol (internal/server/wire) over HTTP/1.1
+// keep-alive connections, one framed POST per request, each request on
+// a pooled connection of its own. The stress swarm drives its load
 // through this package, so the client is also the reference
 // implementation of good citizenship: it surfaces shed responses as
 // typed errors carrying the server's Retry-After so callers can back
@@ -57,9 +57,10 @@ type Options struct {
 	Resilience *ResilienceOptions
 }
 
-// Client is safe for concurrent use; all requests share one h2c
-// connection pool. Close cancels open event streams and releases idle
-// connections; it is safe to call more than once.
+// Client is safe for concurrent use; requests and event streams share
+// one pool of HTTP/1.1 keep-alive connections, at most maxConns of them,
+// each carrying one request at a time. Close cancels open event streams
+// and releases idle connections; it is safe to call more than once.
 type Client struct {
 	base   string
 	codec  uint8
@@ -141,13 +142,22 @@ type Health struct {
 	Inflight           int64   `json:"inflight"`
 }
 
-// New builds a client. The transport speaks HTTP/2 without TLS
-// (prior-knowledge h2c), matching the daemon's listener.
+// maxConns caps the client's connections to the server and the idle
+// connections it keeps: one per request in flight, up to the server's
+// default MaxInflight, beyond which the server sheds anyway. Keeping as
+// many idle as may be busy is what lets a steady load reuse its
+// connections instead of redialing.
+const maxConns = 256
+
+// New builds a client. The transport speaks cleartext HTTP/1.1 with
+// keep-alive, which the daemon's listener accepts beside h2c; a
+// request occupies its connection until the response body is read,
+// so concurrent requests run on parallel connections rather than
+// queueing behind one another on a multiplexed stream.
 func New(opts Options) *Client {
-	h2c := func() *http.Transport {
-		tr := &http.Transport{Protocols: new(http.Protocols)}
-		tr.Protocols.SetUnencryptedHTTP2(true)
-		return tr
+	tr := &http.Transport{
+		MaxConnsPerHost:     maxConns,
+		MaxIdleConnsPerHost: maxConns,
 	}
 	nextID := opts.NextTraceID
 	if nextID == nil {
@@ -159,17 +169,17 @@ func New(opts Options) *Client {
 		base:    "http://" + opts.Addr,
 		codec:   opts.Codec,
 		nextID:  nextID,
-		hc:      &http.Client{Transport: h2c(), Timeout: opts.HTTPTimeout},
-		evhc:    &http.Client{Transport: h2c()},
+		hc:      &http.Client{Transport: tr, Timeout: opts.HTTPTimeout},
+		evhc:    &http.Client{Transport: tr},
 		streams: make(map[*EventStream]struct{}),
 	}
 	if opts.Resilience != nil {
 		c.policy = newPolicy(*opts.Resilience)
 		c.policy.attempt = c.doOnce
 		// An attempt that outlives AttemptTimeout likely hung on a dead
-		// pooled connection; evicting idle conns makes the retry dial
-		// fresh (the hung conn becomes idle once its stream is torn
-		// down by the attempt context's cancellation).
+		// connection. Its cancellation closes that connection; the
+		// pooled connections idle behind the same blackhole are
+		// dropped here, so the retry dials fresh.
 		c.policy.evict = c.hc.CloseIdleConnections
 	}
 	return c
@@ -191,8 +201,7 @@ func (c *Client) Close() error {
 		for _, s := range streams {
 			s.shutdown()
 		}
-		c.hc.CloseIdleConnections()
-		c.evhc.CloseIdleConnections()
+		c.hc.CloseIdleConnections() // evhc shares the transport
 	})
 	return nil
 }
@@ -261,6 +270,10 @@ func (c *Client) doOnce(ctx context.Context, op uint8, req *wire.Request) (*wire
 			Detail: fmt.Sprintf("reading response frame (HTTP %d)", hresp.StatusCode), Err: err,
 		}
 	}
+	// Only a body read to EOF returns its connection to the pool, and a
+	// chunked response's last chunk can arrive after the frame's last
+	// byte.
+	_, _ = io.Copy(io.Discard, hresp.Body)
 	resp, err := wire.DecodeResponse(rh.Codec, rp)
 	if err != nil {
 		// A payload that frames but doesn't decode is a damaged byte

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,22 +19,39 @@ import (
 	"sudoku/internal/telemetry"
 )
 
-// startFrameServer boots a raw h2c handler on an ephemeral port —
-// the client-side mirror of the server package's test helper, for
-// tests that need to script the server's exact bytes.
-func startFrameServer(t *testing.T, handler http.Handler) string {
+// startFrameServer serves handler on an ephemeral loopback port and
+// returns its address — the client-side mirror of the server package's
+// test helper, for tests that need to script the server's exact bytes.
+func startFrameServer(t testing.TB, handler http.Handler) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var protos http.Protocols
-	protos.SetHTTP1(true)
-	protos.SetUnencryptedHTTP2(true)
-	hs := &http.Server{Handler: handler, Protocols: &protos}
+	serveFrames(t, ln, handler)
+	return ln.Addr().String()
+}
+
+// serveFrames serves handler on ln over cleartext HTTP/1.1, the one
+// protocol the client speaks.
+func serveFrames(t testing.TB, ln net.Listener, handler http.Handler) {
+	hs := &http.Server{Handler: handler}
 	go func() { _ = hs.Serve(ln) }()
 	t.Cleanup(func() { _ = hs.Close() })
-	return ln.Addr().String()
+}
+
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int32
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
 }
 
 // echoHandler answers every /v1/op frame with a 64-byte OK response
@@ -214,9 +232,10 @@ func TestShedReason(t *testing.T) {
 	}
 }
 
-// startRealServer boots the actual server stack (engine, tenants,
-// admission) for end-to-end client tests.
-func startRealServer(t *testing.T, storm *atomic.Int32) string {
+// realHandler builds the actual server stack (a 1 MB engine, tenant
+// t0 of 1024 lines, admission) for end-to-end client tests and returns
+// its handler.
+func realHandler(t testing.TB, storm *atomic.Int32) http.Handler {
 	t.Helper()
 	cfg := sudoku.DefaultConfig()
 	cfg.CacheMB = 1
@@ -243,7 +262,7 @@ func startRealServer(t *testing.T, storm *atomic.Int32) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return startFrameServer(t, srv.Handler())
+	return srv.Handler()
 }
 
 // TestRetryAfterEndToEnd: a real server in Critical storm sheds a
@@ -253,7 +272,7 @@ func startRealServer(t *testing.T, storm *atomic.Int32) string {
 func TestRetryAfterEndToEnd(t *testing.T) {
 	storm := new(atomic.Int32)
 	storm.Store(int32(sudoku.StormCritical))
-	addr := startRealServer(t, storm)
+	addr := startFrameServer(t, realHandler(t, storm))
 
 	c := New(Options{Addr: addr, Resilience: &ResilienceOptions{
 		MaxAttempts: 3, Seed: 1,
@@ -317,4 +336,157 @@ func TestRetryAfterEndToEnd(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, sb)
 		}
 	}
+}
+
+// TestConnectionReuse: each request in flight holds an HTTP/1.1
+// connection of its own and the pool keeps every one of them idle
+// afterwards. Eight goroutines of 100 reads and batch reads dial at
+// most eight connections, and 200 further sequential ops dial none.
+// A pool that kept fewer idle connections than goroutines (net/http's
+// default is two per host) would redial throughout.
+func TestConnectionReuse(t *testing.T) {
+	const goroutines = 8
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &countingListener{Listener: ln}
+	var notH1, arrived atomic.Int32
+	// The first request of every goroutine is held until all of them
+	// are in flight. Otherwise a request that finds no idle connection
+	// dials, is handed one another request has just released, and its
+	// own dial lands in the pool as a connection no goroutine needed.
+	allIn := make(chan struct{})
+	srv := realHandler(t, new(atomic.Int32))
+	serveFrames(t, cl, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ProtoMajor != 1 {
+			notH1.Add(1)
+		}
+		if arrived.Add(1) == goroutines {
+			close(allIn)
+		}
+		select {
+		case <-allIn:
+		case <-r.Context().Done():
+			return
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	c := New(Options{Addr: ln.Addr().String()})
+	defer c.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	batch := make([]uint64, 64)
+	for i := range batch {
+		batch[i] = uint64(i) * LineBytes
+	}
+	// Every fourth op is a 64-line batch, whose response is too large
+	// to carry a Content-Length and arrives chunked.
+	op := func(i int) error {
+		if i%4 == 3 {
+			_, err := c.ReadBatch(ctx, "t0", batch)
+			return err
+		}
+		_, err := c.Read(ctx, "t0", uint64(i%1024)*LineBytes)
+		return err
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if err := op(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	dialed := cl.accepted.Load()
+	if dialed > goroutines {
+		t.Fatalf("%d goroutines dialed %d connections", goroutines, dialed)
+	}
+	for i := 0; i < 200; i++ {
+		if err := op(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cl.accepted.Load(); n != dialed {
+		t.Fatalf("200 sequential ops dialed %d new connections", n-dialed)
+	}
+	if n := notH1.Load(); n != 0 {
+		t.Fatalf("%d requests arrived over HTTP/2, want HTTP/1.1", n)
+	}
+}
+
+// TestChunkedResponseKeepsConnection: a response whose terminating
+// chunk arrives after the frame's last byte still returns its
+// connection to the pool, so sequential batch reads share one
+// connection.
+func TestChunkedResponseKeepsConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &countingListener{Listener: ln}
+	serveFrames(t, cl, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h, _, err := wire.ReadFrame(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		payload, _ := wire.EncodeResponse(h.Codec, &wire.Response{
+			Status: wire.StatusOK, Data: make([]byte, 64*LineBytes),
+		})
+		_ = wire.WriteFrame(w, wire.Header{
+			Version: wire.Version, Codec: h.Codec, Op: h.Op,
+			Flags: wire.FlagTrace, TraceID: h.TraceID,
+		}, payload)
+		w.(http.Flusher).Flush()
+		time.Sleep(2 * time.Millisecond) // the last chunk follows later
+	}))
+	c := New(Options{Addr: ln.Addr().String()})
+	defer c.Close()
+	addrs := make([]uint64, 64)
+	for i := 0; i < 10; i++ {
+		if _, err := c.ReadBatch(context.Background(), "t", addrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cl.accepted.Load(); n != 1 {
+		t.Fatalf("10 sequential batch reads dialed %d connections, want 1", n)
+	}
+}
+
+// BenchmarkServedRead is one served single-line read end to end over
+// loopback: the resilient client, a real listener, the server's handler
+// and a 1 MB engine, driven by two goroutines.
+func BenchmarkServedRead(b *testing.B) {
+	addr := startFrameServer(b, realHandler(b, new(atomic.Int32)))
+	c := New(Options{Addr: addr, Resilience: DefaultResilience()})
+	defer c.Close()
+	ctx := context.Background()
+	if err := c.Write(ctx, "t0", 0, make([]byte, LineBytes)); err != nil {
+		b.Fatal(err)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				if _, err := c.Read(ctx, "t0", 0); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

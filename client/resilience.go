@@ -136,10 +136,12 @@ type policy struct {
 	attempt func(ctx context.Context, op uint8, req *wire.Request) (*wire.Response, error)
 	// evict nudges the transport's idle-connection pool (the Client
 	// wires it to http.Client.CloseIdleConnections). Called when an
-	// attempt times out with the caller still live: the pooled
-	// connection the attempt hung on is likely dead (blackholed,
-	// half-open TCP), and without eviction every retry would queue on
-	// the same corpse until the caller's own deadline fires.
+	// attempt times out with the caller still live: the connection the
+	// attempt hung on is likely dead (blackholed, half-open TCP), and
+	// its cancellation closes it, but the idle connections pooled
+	// beside it likely sit behind the same blackhole; without eviction
+	// every retry would pick one of them up and hang again until the
+	// caller's own deadline fires.
 	evict func()
 
 	// now/sleep are swappable for fake-clock tests. sleep must honor
@@ -374,7 +376,7 @@ func (p *policy) attemptOnce(ctx context.Context, op uint8, req *wire.Request) (
 // blackholed connection is exactly the transport fault the
 // per-attempt deadline exists to recover from, so it is typed as one,
 // and the connection pool is nudged so the retry dials fresh instead
-// of queueing on the same dead connection.
+// of picking up an idle connection behind the same blackhole.
 func (p *policy) typeAttemptExpiry(parent context.Context, err error) error {
 	if p.opts.AttemptTimeout <= 0 || parent.Err() != nil || !errors.Is(err, context.DeadlineExceeded) {
 		return err

@@ -1,5 +1,6 @@
 // Command sudoku-cached serves a shared SuDoku engine to network
-// tenants over cleartext HTTP/2: the frame protocol at /v1/op, the
+// tenants over cleartext HTTP (HTTP/1.1, and prior-knowledge HTTP/2 for
+// clients that ask for it): the frame protocol at /v1/op, the
 // per-tenant RAS-event tap at /v1/events, Prometheus metrics at
 // /metrics (engine families plus the sudoku_server_* service
 // families), and the engine Health JSON at /healthz. Tenants get
@@ -85,7 +86,7 @@ type options struct {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sudoku-cached", flag.ContinueOnError)
 	var o options
-	fs.StringVar(&o.addr, "addr", ":9191", "HTTP/2 (h2c) listen address")
+	fs.StringVar(&o.addr, "addr", ":9191", "listen address (HTTP/1.1 and h2c)")
 	fs.IntVar(&o.cachemb, "cachemb", 4, "cache size in MB")
 	fs.IntVar(&o.shards, "shards", 0, "shard count (0 = auto)")
 	fs.Uint64Var(&o.seed, "seed", 1, "random seed")
@@ -232,8 +233,9 @@ func run(args []string, out io.Writer) error {
 	})
 }
 
-// newH2CServer builds an http.Server accepting both HTTP/1.1 and
-// cleartext HTTP/2 (prior knowledge), matching the client transport.
+// newH2CServer builds an http.Server accepting both HTTP/1.1, which the
+// client package speaks, and cleartext HTTP/2 (prior knowledge), which
+// older builds of the client still send.
 func newH2CServer(h http.Handler) *http.Server {
 	var protos http.Protocols
 	protos.SetHTTP1(true)

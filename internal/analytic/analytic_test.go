@@ -280,7 +280,10 @@ func TestScrubIntervalSweepMonotone(t *testing.T) {
 	// Table VIII: longer scrub intervals weaken every scheme, and
 	// SuDoku-Z at 40 ms still beats ECC-6's 1-FIT target while ECC-5
 	// misses it even at 10 ms.
-	type point struct{ ber float64; interval time.Duration }
+	type point struct {
+		ber      float64
+		interval time.Duration
+	}
 	pts := []point{
 		{2.7e-6, 10 * time.Millisecond},
 		{5.3e-6, 20 * time.Millisecond},

@@ -256,7 +256,7 @@ func (r *RAID6) recoverTwo(lines []*bitvec.Vector, i, j int) error {
 	if err != nil {
 		return err
 	}
-	d := ((j - i) % raid6Width + raid6Width) % raid6Width
+	d := ((j-i)%raid6Width + raid6Width) % raid6Width
 	if d == 0 {
 		return ErrUnrepairable
 	}

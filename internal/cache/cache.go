@@ -679,6 +679,12 @@ func (c *STTRAM) lineAddr(addr uint64) uint64 {
 	return addr &^ uint64(c.cfg.LineBytes-1)
 }
 
+// victimAddr is the line address of the block that set holds under
+// tag: the inverse of setIndex and tagOf, used for write-backs.
+func (c *STTRAM) victimAddr(set int, tag uint64) uint64 {
+	return (tag*uint64(c.numSets) + uint64(set)) * uint64(c.cfg.LineBytes)
+}
+
 // crcCheckNs is the per-access syndrome-check latency in nanoseconds
 // (0.3125 ns for one 3.2 GHz cycle — sub-nanosecond, hence the float64
 // time base of the timing model).
@@ -775,7 +781,7 @@ func (c *STTRAM) AccessTiming(nowNs float64, addr uint64, write bool) (latencyNs
 		c.stats.evictions.Add(1)
 		if e.dirty {
 			c.stats.writeBacks.Add(1)
-			_ = c.mem.Access(dur(nowNs), e.tag*uint64(c.numSets)*uint64(c.cfg.LineBytes), true)
+			_ = c.mem.Access(dur(nowNs), c.victimAddr(set, e.tag), true)
 		}
 	}
 	memLat := ns(c.mem.Access(dur(nowNs), c.lineAddr(addr), false))

@@ -128,6 +128,57 @@ func TestMissHitEvictionFlow(t *testing.T) {
 	}
 }
 
+// recordingMemory is a fixed-latency memory that records the address
+// of every write-back it services.
+type recordingMemory struct {
+	writeBacks []uint64
+}
+
+func (m *recordingMemory) Access(_ time.Duration, addr uint64, write bool) time.Duration {
+	if write {
+		m.writeBacks = append(m.writeBacks, addr)
+	}
+	return 60 * time.Nanosecond
+}
+
+// TestDirtyVictimWrittenBackToItsOwnAddress: a dirty line in set 5
+// evicted by a conflict walk is written back to its own line address,
+// set index included, on the timing path and the functional path.
+func TestDirtyVictimWrittenBackToItsOwnAddress(t *testing.T) {
+	cfg := testConfig(core.ProtectionZ)
+	sets := uint64(cfg.Lines / cfg.Ways)
+	const set, tag = 5, 3
+	victim := (tag*sets + set) * 64
+	data := bytes.Repeat([]byte{7}, 64)
+	paths := map[string]func(c *STTRAM, addr uint64) error{
+		"AccessTiming": func(c *STTRAM, addr uint64) error {
+			c.AccessTiming(0, addr, true)
+			return nil
+		},
+		"functional fill": func(c *STTRAM, addr uint64) error {
+			_, err := c.Write(0, addr, data, nil)
+			return err
+		},
+	}
+	for name, write := range paths {
+		mem := &recordingMemory{}
+		c, err := New(cfg, mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Dirty the victim first, then fill the set's other ways and one
+		// more line so the LRU victim is evicted.
+		for i := uint64(0); i <= uint64(cfg.Ways); i++ {
+			if err := write(c, victim+i*sets*64); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if len(mem.writeBacks) != 1 || mem.writeBacks[0] != victim {
+			t.Errorf("%s: write-backs %#x, want [%#x]", name, mem.writeBacks, victim)
+		}
+	}
+}
+
 func TestSingleFaultRepairedOnRead(t *testing.T) {
 	c, _ := mustCache(t, testConfig(core.ProtectionZ))
 	data := bytes.Repeat([]byte{0xff}, 64)

@@ -285,7 +285,7 @@ func (c *STTRAM) fill(now time.Duration, set int, addr uint64, forWrite bool, tr
 	if entry.valid {
 		c.stats.evictions.Add(1)
 		phys := c.physIndex(set, v)
-		victimAddr := (entry.tag*uint64(c.numSets) + uint64(set)) * uint64(c.cfg.LineBytes)
+		victimAddr := c.victimAddr(set, entry.tag)
 		if entry.dirty {
 			c.stats.writeBacks.Add(1)
 			_ = c.mem.Access(now, victimAddr, true)

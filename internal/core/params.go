@@ -107,7 +107,7 @@ func (p Params) Hash1Members(group int) []int {
 // GroupSize within a GroupSize²-line super-block.
 func (p Params) Hash2Members(group int) []int {
 	lg := p.lg()
-	super := group >> lg    // which super-block
+	super := group >> lg             // which super-block
 	low := group & (p.GroupSize - 1) // shared addr[8:0]
 	out := make([]int, p.GroupSize)
 	base := super<<(2*lg) | low

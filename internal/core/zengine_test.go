@@ -302,8 +302,8 @@ func TestZFailsWhenBothHashesBroken(t *testing.T) {
 	z := mustZEngine(t, m, ProtectionZ)
 	m.inject(t, 1, 10, 20, 30)
 	m.inject(t, 3, 40, 50, 60)
-	m.inject(t, 9, 70, 80, 90)   // line 1's hash-2 group {1,5,9,13}
-	m.inject(t, 11, 15, 25, 35)  // line 3's hash-2 group {3,7,11,15}
+	m.inject(t, 9, 70, 80, 90)  // line 1's hash-2 group {1,5,9,13}
+	m.inject(t, 11, 15, 25, 35) // line 3's hash-2 group {3,7,11,15}
 	report, err := z.RepairHash1Group(m, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -147,7 +147,7 @@ func (f *Field) MinimalPoly(i int) (uint64, int, error) {
 		root := f.Exp(c)
 		next := make([]uint32, len(poly)+1)
 		for j, pc := range poly {
-			next[j+1] ^= pc             // x * poly
+			next[j+1] ^= pc            // x * poly
 			next[j] ^= f.Mul(pc, root) // root * poly
 		}
 		poly = next

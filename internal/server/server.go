@@ -1,10 +1,11 @@
 // Package server is the sudoku-cached service layer: it fronts one
 // shared sudoku.Concurrent engine to many network tenants over an
-// HTTP/2-carried frame protocol (package wire), with per-tenant
-// namespaces, rate limits and session discipline (package tenant),
-// storm-aware admission control, and a streaming per-tenant RAS-event
-// tap. The daemon in cmd/sudoku-cached wires this to h2c listeners,
-// telemetry, and lifecycle management.
+// HTTP-carried frame protocol (package wire), one frame per request,
+// with per-tenant namespaces, rate limits and session discipline
+// (package tenant), storm-aware admission control, and a streaming
+// per-tenant RAS-event tap. The daemon in cmd/sudoku-cached wires this
+// to a listener that accepts HTTP/1.1 and h2c, telemetry, and
+// lifecycle management.
 package server
 
 import (
@@ -46,8 +47,8 @@ type Options struct {
 }
 
 // Server serves the sudoku-cached protocol. Construct with New, mount
-// Handler on an h2c-enabled http.Server, and Register the metrics on
-// the daemon's telemetry registry.
+// Handler on an http.Server (HTTP/1.1, h2c, or both), and Register the
+// metrics on the daemon's telemetry registry.
 type Server struct {
 	engine  *sudoku.Concurrent
 	tenants *tenant.Registry

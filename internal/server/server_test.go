@@ -38,8 +38,8 @@ type testServer struct {
 	finish func()
 }
 
-// startServer boots an engine plus the full h2c stack on an ephemeral
-// port. The returned storm atomic forces the admission ladder level.
+// startServer boots an engine plus the full serving stack, on a
+// listener that accepts HTTP/1.1 and h2c, on an ephemeral port. The returned storm atomic forces the admission ladder level.
 func startServer(t *testing.T, cfgs []tenant.Config, maxInflight int) *testServer {
 	t.Helper()
 	eng, err := sudoku.NewConcurrent(testConfig())

@@ -100,9 +100,11 @@ type Tenant struct {
 	cfg  Config
 	base uint64 // first engine line of the window
 
-	// session serializes syncs and carries the min-delay clock.
+	// session serializes syncs and carries the min-delay clock. A sync
+	// holds the session while its token sits in the one-slot channel;
+	// lastDone is written only by the holder.
 	session struct {
-		sync.Mutex
+		slot     chan struct{}
 		lastDone time.Time
 	}
 
@@ -205,24 +207,9 @@ func (t *Tenant) TakeTokens(n int) error {
 // even after ctx cancellation during the delay (the sync is then not
 // admitted and release is a no-op).
 func (t *Tenant) AcquireSync(ctx context.Context) (release func(), err error) {
-	// Waiting for the session lock respects ctx by polling in the
-	// worst case — but the expected hold time is one sync, so a plain
-	// blocking Lock with a post-check keeps it simple and deadlock-free:
-	// the holder always releases in a defer.
-	locked := make(chan struct{})
-	go func() {
-		t.session.Lock()
-		close(locked)
-	}()
 	select {
-	case <-locked:
+	case t.session.slot <- struct{}{}:
 	case <-ctx.Done():
-		// The lock acquisition goroutine still completes; hand the
-		// lock straight back when it does.
-		go func() {
-			<-locked
-			t.session.Unlock()
-		}()
 		return func() {}, ctx.Err()
 	}
 	if d := t.cfg.MinDelay; d > 0 && !t.session.lastDone.IsZero() {
@@ -233,7 +220,7 @@ func (t *Tenant) AcquireSync(ctx context.Context) (release func(), err error) {
 			case <-timer.C:
 			case <-ctx.Done():
 				timer.Stop()
-				t.session.Unlock()
+				<-t.session.slot
 				return func() {}, ctx.Err()
 			}
 		}
@@ -242,7 +229,7 @@ func (t *Tenant) AcquireSync(ctx context.Context) (release func(), err error) {
 	return func() {
 		once.Do(func() {
 			t.session.lastDone = t.now()
-			t.session.Unlock()
+			<-t.session.slot
 		})
 	}, nil
 }
@@ -284,6 +271,7 @@ func (r *Registry) Add(cfg Config) (*Tenant, error) {
 			cfg.Name, cfg.Lines, r.used, r.lines)
 	}
 	t := &Tenant{cfg: cfg, base: r.used, now: time.Now}
+	t.session.slot = make(chan struct{}, 1)
 	t.bucket.tokens = cfg.Burst
 	if t.bucket.tokens <= 0 {
 		t.bucket.tokens = cfg.RateOps

@@ -3,6 +3,7 @@ package tenant
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -161,6 +162,44 @@ func TestAcquireSyncContextCancel(t *testing.T) {
 	}
 	// The session must be usable afterwards (not left locked).
 	tn.session.lastDone = time.Time{} // forget the delay for this check
+	rel3, err := tn.AcquireSync(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel3()
+}
+
+// TestAcquireSyncCancelWhileHeld: a waiter whose context expires while
+// another sync holds the session returns the context error and leaves
+// no goroutine behind, and the session is free the moment the holder
+// releases it.
+func TestAcquireSyncCancelWhileHeld(t *testing.T) {
+	r, _ := NewRegistry(64, []Config{{Name: "t", Lines: 64}})
+	tn, _ := r.Lookup("t")
+	rel, err := tn.AcquireSync(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	rel2, err := tn.AcquireSync(ctx)
+	rel2()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want deadline exceeded", err)
+	}
+	// The context's timer goroutine may still be exiting; anything the
+	// acquire started would stay blocked until the holder releases.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before the cancelled wait, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rel()
+	if n := len(tn.session.slot); n != 0 {
+		t.Fatalf("session still held after its only holder released (%d tokens)", n)
+	}
 	rel3, err := tn.AcquireSync(context.Background())
 	if err != nil {
 		t.Fatal(err)

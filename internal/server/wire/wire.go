@@ -1,6 +1,7 @@
 // Package wire is the sudoku-cached frame protocol: a length-prefixed
-// JSON-or-binary framing carried over HTTP/2 bodies. One request body
-// holds one frame; the event tap streams a sequence of frames.
+// JSON-or-binary framing carried in HTTP bodies (HTTP/1.1 or h2c). One
+// request body holds one frame; the event tap streams a sequence of
+// frames.
 //
 // Frame layout, all integers big-endian:
 //
